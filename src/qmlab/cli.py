@@ -182,12 +182,12 @@ _RUNNERS = {"phi": _run_phi, "tau": _run_tau, "calabi": _run_calabi,
             "gg": _run_gg}
 
 
-def run(spec: ExperimentSpec, out_dir: str | Path = ".", jobs: int = 1) -> Path:
+def run(spec: ExperimentSpec, out_dir: str | Path = ".") -> Path:
     """Dispatch an experiment and write its result record; returns the path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     record = _RUNNERS[spec.kind](spec, out)
-    record = {"kind": spec.kind, "seed": spec.seed, "jobs": int(jobs),
+    record = {"kind": spec.kind, "seed": spec.seed,
               "params": {k: v for k, v in sorted(spec.params.items())},
               "result": record}
     return _write_record(out, spec.kind, record)
@@ -204,12 +204,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="seed override (mandatory for stochastic kinds)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap (compute kernels are vectorized in-process)")
     args = parser.parse_args(argv)
     try:
         spec = ExperimentSpec.load(args.kind, args.spec, args.seed)
-        target = run(spec, args.out, jobs=max(1, args.jobs))
+        target = run(spec, args.out)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -237,20 +237,6 @@ class HamiltonianField(ABC):
     def to_json(self) -> dict: ...
 
 
-def _spatial_quadrature(field, form, n_r=160, n_ang=128):
-    """Polar tensor quadrature of the time-independent part (2-d)."""
-    from numpy.polynomial.legendre import leggauss
-    xs, ws = leggauss(n_r)
-    r = 0.5 * field.support_radius * (xs + 1.0)
-    wr = 0.5 * field.support_radius * ws
-    ang = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    rr, aa = np.meshgrid(r, ang, indexing="ij")
-    pts = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
-    w = (wr[:, None] * (2.0 * np.pi / n_ang) * r[:, None]).repeat(n_ang, axis=1).ravel()
-    w = w * form.rho(pts)
-    return pts, w
-
-
 class SeparableField(HamiltonianField):
     """H(z, t) = amplitude(t) * spatial(z); spatial integral cached per form."""
 
@@ -281,7 +267,8 @@ class SeparableField(HamiltonianField):
         if key not in self._spatial_cache:
             if self.dim != 2:
                 raise ValidationError("space_integral implemented for 2-d fields")
-            pts, w = _spatial_quadrature(self, form)
+            pts, w = _ball_nodes(form, 2, QuadratureRule(n_r=160, n_angle=128),
+                                 self.support_radius)
             self._spatial_cache[key] = float(np.sum(w * self.spatial_value(pts)))
         return float(self.time(t)) * self._spatial_cache[key]
 
@@ -806,6 +793,8 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         inv[..., 1, 0] = -c
         inv[..., 1, 1] = a
         return inv @ rhs / det[..., None, None]
+    if rhs.ndim == mats.ndim - 1:
+        return np.linalg.solve(mats, rhs[..., None])[..., 0]
     return np.linalg.solve(mats, rhs)
 
 

@@ -189,73 +189,75 @@ def isotopy_from_json(data: dict) -> DiskIsotopy:
 # the contact lift
 # --------------------------------------------------------------------------
 
+def _chart_point(iso: DiskIsotopy, x) -> complex:
+    """A start point (complex, real scalar or (x, y) pair) strictly inside U."""
+    z = complex(x) if np.isscalar(x) else complex(x[0], x[1])
+    if abs(z) >= iso.chart_radius:
+        raise ValidationError("x must lie inside the disk U")
+    return z
+
+
 class _LiftState:
-    """Shared fiber evolution for a batch of trajectories.
+    """The fiber evolution and boundary lift of a batch over p periods.
 
     The fiber rate does not depend on the direction itself, so one angle
     increment serves every fiber offset; boundary lifts are tracked per
-    offset with the aliasing guard.
+    offset with the aliasing guard.  Construction runs the whole lift:
+    afterwards ``eta - eta_start`` holds the lifted boundary turns.
     """
 
-    def __init__(self, iso: DiskIsotopy, pts: np.ndarray, psi0: np.ndarray,
-                 lift_stride: int):
+    def __init__(self, iso: DiskIsotopy, pts: np.ndarray, psi0: np.ndarray, p: int,
+                 lift_stride: int, keep_trace: bool = False):
         self.iso = iso
-        self.pts0 = pts.copy()
+        self.engine = FlowMap(iso.scenario)
         self.psi0 = psi0  # (N, k)
         self.dpsi = np.zeros(pts.shape[0])
         self.stride = lift_stride
-        self.eta = None  # (N, k) lifted boundary angles, turns
-        self.eta_start = None
+        # (N, k) lifted boundary angles, turns
+        self.eta_start = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], psi0) / (2.0 * np.pi)
+        self.eta = self.eta_start
         self.max_step = 0.0
-        self.max_radius = float(np.max(np.linalg.norm(pts, axis=1))) if pts.size else 0.0
-        self.trace: list[tuple[float, np.ndarray, np.ndarray]] | None = None
+        self.max_radius = float(np.max(np.linalg.norm(pts, axis=1)))
+        # (t, points, chart angles, lifted boundary angles) at every lift
+        self.trace = [(0.0, pts.copy(), psi0, self.eta)] if keep_trace else None
+        out = self.engine.evolve(pts, periods=p, step_hook=self.hook)
+        total = p * self.engine.steps_per_period
+        if total % lift_stride:
+            self._lift(out, total * self.engine.h)
+        if self.max_radius >= iso.chart_radius * (1.0 + 1e-9):
+            raise NumericalError("a trajectory left the disk U (support violation)")
 
-    def record_initial(self, pts):
-        ang = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], self.psi0) / (2.0 * np.pi)
-        self.eta = ang.copy()
-        self.eta_start = ang.copy()
-
-    def hook(self, engine: FlowMap, step: int, t_mid: float, mid: np.ndarray,
-             new: np.ndarray, tangent):
-        field = self.iso.scenario.field
-        vel = engine.last_mid_velocity  # converged midpoint velocity of this step
+    def hook(self, step: int, t_mid: float, mid: np.ndarray, new: np.ndarray, tangent):
+        h = self.engine.h
+        vel = self.engine.last_mid_velocity  # converged midpoint velocity of this step
         rate = transport_rate_points(mid, vel)
-        h_tilde = field.value(mid, t_mid) + self.iso.mean_zero_constant(t_mid)
-        self.dpsi += engine.h * (rate - 2.0 * np.pi * h_tilde)
-        if (step + 1) % self.stride == 0 or step + 1 == self.total_steps:
-            self._lift(new, (step + 1) * engine.h)
+        h_tilde = self.iso.scenario.field.value(mid, t_mid) + self.iso.mean_zero_constant(t_mid)
+        self.dpsi += h * (rate - 2.0 * np.pi * h_tilde)
+        if (step + 1) % self.stride == 0:
+            self._lift(new, (step + 1) * h)
 
     def _lift(self, pts: np.ndarray, t: float):
-        r = np.linalg.norm(pts, axis=1)
-        self.max_radius = max(self.max_radius, float(np.max(r)) if r.size else 0.0)
+        self.max_radius = max(self.max_radius, float(np.max(np.linalg.norm(pts, axis=1))))
         psi = self.psi0 + self.dpsi[:, None]
         ang = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], psi) / (2.0 * np.pi)
         step = ang - (self.eta - np.round(self.eta - ang))
-        worst = float(np.max(np.abs(step))) if step.size else 0.0
+        worst = float(np.max(np.abs(step)))
         self.max_step = max(self.max_step, worst)
         if worst >= LIFT_GUARD:
             raise NumericalError(
                 f"boundary lift moved {worst:.3f} turns between samples: decrease dt or lift_stride")
         self.eta = self.eta + step
         if self.trace is not None:
-            self.trace.append((t, pts.copy(), psi.copy()))
+            self.trace.append((t, pts.copy(), psi, self.eta))
 
 
-def _run_lift(iso: DiskIsotopy, pts: np.ndarray, psi0: np.ndarray, p: int,
-              lift_stride: int = 2, keep_trace: bool = False) -> _LiftState:
-    engine = FlowMap(iso.scenario)
-    state = _LiftState(iso, pts, psi0, lift_stride)
-    state.total_steps = p * engine.steps_per_period
-    if keep_trace:
-        state.trace = []
-    state.record_initial(pts)
-    if keep_trace:
-        state.trace.append((0.0, pts.copy(), psi0 + 0.0))
-    engine.evolve(pts, periods=p,
-                  step_hook=lambda s, t, m, nw, tan: state.hook(engine, s, t, m, nw, tan))
-    if state.max_radius >= iso.chart_radius * (1.0 + 1e-9):
-        raise NumericalError("a trajectory left the disk U (support violation)")
-    return state
+def _boundary_indices(iso: DiskIsotopy, pts: np.ndarray, p: int, fiber_samples: int,
+                      lift_stride: int) -> np.ndarray:
+    """floor(eta - eta_start) over p periods, (N, k), at k equally spaced fiber angles."""
+    psi0 = np.broadcast_to(2.0 * np.pi * np.arange(fiber_samples) / fiber_samples,
+                           (pts.shape[0], fiber_samples))
+    state = _LiftState(iso, pts, psi0, p, lift_stride)
+    return np.floor(state.eta - state.eta_start)
 
 
 def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int,
@@ -267,22 +269,10 @@ def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int,
     """
     if p < 1:
         raise ValidationError("p must be >= 1")
-    base = _as_complex(v.base)
-    pts = np.array([[base.real, base.imag]])
-    psi0 = np.array([[float(v.angle)]])
-    state = _run_lift(iso, pts, psi0, p, lift_stride, keep_trace=True)
-    path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0]))
-            for t, pt, psi in state.trace]
-    angles: list[float] = []
-    for _, pt, psi in state.trace:
-        raw = _endpoint_angles(pt[:, 0] + 1j * pt[:, 1], psi)[0, 0] / (2.0 * np.pi)
-        if not angles:
-            angles.append(float(raw))
-        else:
-            step = raw - angles[-1]
-            step -= np.round(step)
-            angles.append(angles[-1] + float(step))
-    return path, CirclePath(np.array(angles))
+    pts = np.array([[v.base.real, v.base.imag]])
+    state = _LiftState(iso, pts, np.array([[v.angle]]), p, lift_stride, keep_trace=True)
+    path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi, _ in state.trace]
+    return path, CirclePath(np.array([eta[0, 0] for *_, eta in state.trace]))
 
 
 def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8,
@@ -292,16 +282,10 @@ def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8,
     Outside the support (but inside U) the trajectory is fixed and the
     value is the exact analytic contribution p * integral of c.
     """
-    z = _as_complex(complex(x) if np.isscalar(x) or isinstance(x, complex)
-                    else complex(x[0], x[1]))
-    if abs(z) >= iso.chart_radius:
-        raise ValidationError("x must lie inside the disk U")
+    z = _chart_point(iso, x)
     if abs(z) >= iso.scenario.support_radius:
         return p * iso.mean_constant_integral()
-    pts = np.array([[z.real, z.imag]])
-    psi0 = (2.0 * np.pi * np.arange(fiber_samples) / fiber_samples)[None, :]
-    state = _run_lift(iso, pts, psi0, p, lift_stride)
-    indices = np.floor(state.eta[0] - state.eta_start[0])
+    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples, lift_stride)
     return float(-np.min(indices))
 
 
@@ -338,11 +322,7 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
     c_bar = iso.mean_constant_integral()
     vals = np.full(n_points, c_bar)
     if np.any(inside):
-        batch = pts[inside]
-        psi0 = np.broadcast_to(2.0 * np.pi * np.arange(fiber_samples) / fiber_samples,
-                               (batch.shape[0], fiber_samples)).copy()
-        state = _run_lift(iso, batch, psi0, p, lift_stride)
-        indices = np.floor(state.eta - state.eta_start)
+        indices = _boundary_indices(iso, pts[inside], p, fiber_samples, lift_stride)
         vals[inside] = -np.min(indices, axis=1) / p
     value = float(np.mean(vals)) * iso.disk_area + c_bar * (iso.total_area - iso.disk_area)
     std_error = float(np.std(vals, ddof=1) / np.sqrt(n_points)) * iso.disk_area
@@ -353,12 +333,9 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
 def fiber_index_spread(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8,
                        lift_stride: int = 2) -> int:
     """max - min of the boundary index over fiber directions (paper bound: <= 2)."""
-    z = _as_complex(complex(x[0], x[1]) if not isinstance(x, complex) else x)
-    pts = np.array([[z.real, z.imag]])
-    psi0 = (2.0 * np.pi * np.arange(fiber_samples) / fiber_samples)[None, :]
-    state = _run_lift(iso, pts, psi0, p, lift_stride)
-    indices = np.floor(state.eta[0] - state.eta_start[0])
-    return int(np.max(indices) - np.min(indices))
+    z = _chart_point(iso, x)
+    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples, lift_stride)
+    return int(np.ptp(indices))
 
 
 # --------------------------------------------------------------------------
@@ -430,9 +407,7 @@ def gg_u(eta: OneForm, iso: DiskIsotopy, x, p: int, quad_nodes: int = 32) -> flo
 
     For disk-supported isotopies both endpoints stay in one lifted chart.
     """
-    z0 = _as_complex(complex(x[0], x[1]) if not isinstance(x, complex) else x)
-    if abs(z0) >= iso.chart_radius:
-        raise ValidationError("x must lie inside the disk U")
+    z0 = _chart_point(iso, x)
     engine = FlowMap(iso.scenario)
     out = engine.evolve(np.array([[z0.real, z0.imag]]), periods=p)
     return geodesic_line_integral(eta, z0, complex(out[0, 0], out[0, 1]), quad_nodes)

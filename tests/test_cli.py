@@ -155,10 +155,10 @@ def test_numerical_failure_exits_3(tmp_path):
     assert cli.main(["phi", "--spec", str(spec), "--out", str(tmp_path)]) == 3
 
 
-def test_jobs_flag_recorded(tmp_path, radial_scenario_file):
+def test_jobs_flag_rejected(tmp_path, radial_scenario_file):
     spec = write_json(tmp_path / "spec.json", {"scenario_file": "scenario.json"})
-    code = cli.main(["calabi", "--spec", str(spec), "--out", str(tmp_path / "out"),
-                     "--jobs", "4"])
-    assert code == 0
-    record = json.loads((tmp_path / "out" / "calabi_result.json").read_text())
-    assert record["jobs"] == 4
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calabi", "--spec", str(spec), "--out", str(tmp_path / "out"),
+                  "--jobs", "4"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

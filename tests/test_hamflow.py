@@ -87,6 +87,17 @@ def test_volume_preservation_monte_carlo():
     assert abs(p_img - p_ref) < 4.0 * np.sqrt(p_ref * (1 - p_ref) / n) + 1e-3
 
 
+def test_flow_4d_conserves_radius_and_runs_tau():
+    # |z|^2 is a quadratic invariant of a radial flow, which the midpoint rule keeps exactly
+    sc = HamiltonianScenario(field=RadialField([0.8], support_radius=1.0, dim=4),
+                             ball_radius=1.2, support_radius=1.0, dt=0.01)
+    x = sc.form.sample_ball(1.0, 4, 16, np.random.default_rng(5))
+    out = FlowMap(sc).evolve(x, periods=3)
+    assert np.max(np.abs(np.sum(out ** 2, axis=1) - np.sum(x ** 2, axis=1))) < 1e-12
+    res = tau_ball(sc, p=1, n_samples=16, seed=0)
+    assert np.isfinite(res.value) and np.isfinite(res.std_error)
+
+
 def test_newton_failure_reports_step():
     # absurdly large dt on a strong field drives the midpoint solve to fail
     f = RadialField([40.0], support_radius=1.0)

@@ -231,8 +231,9 @@ def test_trajectory_leaving_disk_raises():
                              dt=0.01, form=HyperbolicForm())
     iso = DiskIsotopy(scenario=sc, genus=2, disk_area=disk_area_of(0.46))
     # a start point inside the ball but outside U is a support violation
-    with pytest.raises(ValidationError):
-        angle_estimate(iso, (0.7, 0.0), p=1)
+    for estimate in (angle_estimate, fiber_index_spread):
+        with pytest.raises(ValidationError):
+            estimate(iso, (0.7, 0.0), p=1)
 
 
 # ---------------------------------------------------------------- angle
@@ -283,6 +284,17 @@ def test_angle_prop21_periodic_orbit():
     p = 48
     val = angle_estimate(iso, (r, 0.0), p=p) / p
     assert val == pytest.approx(integrand, abs=3.0 / p)
+
+
+def test_angle_is_min_theta_lift_index():
+    f = BumpField(0.8, [0.1, 0.05], 0.3)
+    sc = HamiltonianScenario(field=f, ball_radius=0.57, support_radius=f.support_radius + 1e-9,
+                             dt=0.004, form=HyperbolicForm())
+    iso = DiskIsotopy(scenario=sc, genus=GENUS, disk_area=disk_area_of(0.55))
+    x = 0.15 - 0.05j
+    indices = [circle_index(theta_lift(iso, UnitDirection(x, 2.0 * np.pi * k / 8), p=2)[1])
+               for k in range(8)]
+    assert min(indices) == -angle_estimate(iso, x, p=2, fiber_samples=8)
 
 
 # ---------------------------------------------------------------- cal_s
