@@ -12,6 +12,12 @@ Conventions: the sign of the Hamiltonian field is pinned to X_H = J0 grad H
 for the standard form dx ^ dy (CCW rotation for increasing radial
 profiles); 2-d scenarios may carry a radial density rho, in which case
 X_H = J0 grad H / rho.
+
+A new field kind implements ``value`` and ``jet(pts, t, order)``, which
+returns the gradient and, for order 2, the Hessian from one pass over the
+points; ``grad`` and ``hess`` are views of the jet.  Each Newton iterate
+of the midpoint step evaluates one jet, which gives the velocity and the
+linearization together.
 """
 
 from __future__ import annotations
@@ -214,7 +220,9 @@ class HamiltonianField(ABC):
     """A time-dependent scalar field with analytic gradient and Hessian.
 
     All evaluations are vectorized over points (N, dim).  The field and its
-    gradient vanish identically for |z| >= support_radius.
+    gradient vanish identically for |z| >= support_radius.  A field kind
+    implements ``value`` and ``jet``; ``grad`` and ``hess`` are views of the
+    jet, so each kind keeps its derivative formulas in one place.
     """
 
     dim: int
@@ -224,10 +232,14 @@ class HamiltonianField(ABC):
     def value(self, pts: np.ndarray, t: float) -> np.ndarray: ...
 
     @abstractmethod
-    def grad(self, pts: np.ndarray, t: float) -> np.ndarray: ...
+    def jet(self, pts: np.ndarray, t: float, order: int = 1):
+        """(grad, hess) of H(., t) from one pass; hess is None for order 1."""
 
-    @abstractmethod
-    def hess(self, pts: np.ndarray, t: float) -> np.ndarray: ...
+    def grad(self, pts: np.ndarray, t: float) -> np.ndarray:
+        return self.jet(pts, t, 1)[0]
+
+    def hess(self, pts: np.ndarray, t: float) -> np.ndarray:
+        return self.jet(pts, t, 2)[1]
 
     @abstractmethod
     def space_integral(self, form: SymplecticForm, t: float) -> float:
@@ -235,6 +247,10 @@ class HamiltonianField(ABC):
 
     @abstractmethod
     def to_json(self) -> dict: ...
+
+
+# The concrete field classes rebind ``grad`` and ``hess`` in their own
+# namespace: perfbench/tracing.py wraps value, grad and hess class by class.
 
 
 class SeparableField(HamiltonianField):
@@ -248,19 +264,19 @@ class SeparableField(HamiltonianField):
     def spatial_value(self, pts): ...
 
     @abstractmethod
-    def spatial_grad(self, pts): ...
-
-    @abstractmethod
-    def spatial_hess(self, pts): ...
+    def spatial_jet(self, pts, order: int = 1):
+        """(grad, hess) of the spatial factor; hess is None for order 1."""
 
     def value(self, pts, t):
         return float(self.time(t)) * self.spatial_value(pts)
 
-    def grad(self, pts, t):
-        return float(self.time(t)) * self.spatial_grad(pts)
+    def jet(self, pts, t, order=1):
+        amp = float(self.time(t))
+        g, hs = self.spatial_jet(pts, order)
+        return amp * g, None if hs is None else amp * hs
 
-    def hess(self, pts, t):
-        return float(self.time(t)) * self.spatial_hess(pts)
+    grad = HamiltonianField.grad
+    hess = HamiltonianField.hess
 
     def space_integral(self, form, t):
         key = form.kind
@@ -271,6 +287,14 @@ class SeparableField(HamiltonianField):
                                  self.support_radius)
             self._spatial_cache[key] = float(np.sum(w * self.spatial_value(pts)))
         return float(self.time(t)) * self._spatial_cache[key]
+
+
+def _horner(coef: tuple, x):
+    """sum_k coef[k] x^k in the operation order of numpy's ``polyval``."""
+    acc = coef[-1] + 0.0 * x
+    for c in coef[-2::-1]:
+        acc = c + acc * x
+    return acc
 
 
 class RadialField(SeparableField):
@@ -287,38 +311,34 @@ class RadialField(SeparableField):
         self.bump_power = int(bump_power)
         s0 = self.support_radius ** 2
         cutoff = Polynomial([1.0, -1.0 / s0]) ** self.bump_power
-        self._h = Polynomial(list(self.profile)) * cutoff
-        self._dh = self._h.deriv()
-        self._d2h = self._dh.deriv()
-
-    def _s(self, pts):
-        return _sq_norms(pts)
-
-    def _mask(self, s):
-        return s < self.support_radius ** 2
+        h = Polynomial(list(self.profile)) * cutoff
+        dh = h.deriv()
+        # coefficients of h, h' and h'' in s = r^2, evaluated by _horner
+        self._h, self._dh, self._d2h = (tuple(p.coef) for p in (h, dh, dh.deriv()))
 
     def spatial_value(self, pts):
-        s = self._s(pts)
-        return np.where(self._mask(s), self._h(s), 0.0)
+        s = _sq_norms(pts)
+        return np.where(s < self.support_radius ** 2, _horner(self._h, s), 0.0)
 
-    def spatial_grad(self, pts):
-        s = self._s(pts)
-        coeff = np.where(self._mask(s), 2.0 * self._dh(s), 0.0)
-        return coeff[:, None] * pts
-
-    def spatial_hess(self, pts):
-        s = self._s(pts)
-        m = self._mask(s)
-        c1 = np.where(m, 2.0 * self._dh(s), 0.0)
-        c2 = np.where(m, 4.0 * self._d2h(s), 0.0)
-        eye = np.eye(self.dim)
-        return c1[:, None, None] * eye + c2[:, None, None] * pts[:, :, None] * pts[:, None, :]
+    def spatial_jet(self, pts, order=1):
+        s = _sq_norms(pts)
+        inside = s < self.support_radius ** 2
+        c1 = np.where(inside, 2.0 * _horner(self._dh, s), 0.0)
+        grad = c1[:, None] * pts
+        if order < 2:
+            return grad, None
+        c2 = np.where(inside, 4.0 * _horner(self._d2h, s), 0.0)
+        hess = (c2[:, None] * pts)[:, :, None] * pts[:, None, :]
+        for i in range(self.dim):
+            hess[:, i, i] += c1
+        return grad, hess
 
     def angular_velocity(self, r, t=0.0, form: SymplecticForm | None = None):
         """Omega(r) = 2 a(t) h'(r^2) / rho(r): the exact rotation rate (2-d)."""
         r = np.asarray(r, dtype=float)
         s = r ** 2
-        omega = np.where(s < self.support_radius ** 2, 2.0 * self._dh(s), 0.0) * float(self.time(t))
+        omega = (np.where(s < self.support_radius ** 2, 2.0 * _horner(self._dh, s), 0.0)
+                 * float(self.time(t)))
         if form is not None and form.kind != "standard":
             pts = np.stack([r, np.zeros_like(r)], axis=-1).reshape(-1, 2)
             omega = omega / form.rho(pts).reshape(np.shape(r))
@@ -331,16 +351,19 @@ class RadialField(SeparableField):
                 "dim": self.dim}
 
 
-def _bump(q):
-    """exp(1 - 1/(1-q)) on q < 1, extended by 0; returns (value, d/dq, d2/dq2)."""
+def _bump(q, order: int) -> list:
+    """[value, d/dq, d2/dq2][:order + 1] of exp(1 - 1/(1-q)) on q < 1, extended by 0."""
     q = np.asarray(q, dtype=float)
     safe = np.minimum(q, 1.0 - 1e-12)
     inside = q < 1.0 - 1e-12
     inv = 1.0 / (1.0 - safe)
     val = np.where(inside, np.exp(1.0 - inv), 0.0)
-    d1 = np.where(inside, -val * inv ** 2, 0.0)
-    d2 = np.where(inside, val * inv ** 4 - 2.0 * val * inv ** 3, 0.0)
-    return val, d1, d2
+    out = [val]
+    if order >= 1:
+        out.append(np.where(inside, -val * inv ** 2, 0.0))
+    if order >= 2:
+        out.append(np.where(inside, val * inv ** 4 - 2.0 * val * inv ** 3, 0.0))
+    return out
 
 
 class BumpField(SeparableField):
@@ -361,21 +384,18 @@ class BumpField(SeparableField):
 
     def spatial_value(self, pts):
         q, _ = self._q(pts)
-        val, _, _ = _bump(q)
-        return self.amplitude * val
+        return self.amplitude * _bump(q, 0)[0]
 
-    def spatial_grad(self, pts):
+    def spatial_jet(self, pts, order=1):
         q, d = self._q(pts)
-        _, d1, _ = _bump(q)
-        return self.amplitude * d1[:, None] * (2.0 / self.radius ** 2) * d
-
-    def spatial_hess(self, pts):
-        q, d = self._q(pts)
-        _, d1, d2 = _bump(q)
-        eye = np.eye(self.dim)
+        _, d1, *d2 = _bump(q, order)
+        grad = self.amplitude * d1[:, None] * (2.0 / self.radius ** 2) * d
+        if order < 2:
+            return grad, None
         outer = d[:, :, None] * d[:, None, :]
-        return self.amplitude * (d2[:, None, None] * (4.0 / self.radius ** 4) * outer
-                                 + d1[:, None, None] * (2.0 / self.radius ** 2) * eye)
+        return grad, self.amplitude * (d2[0][:, None, None] * (4.0 / self.radius ** 4) * outer
+                                       + d1[:, None, None] * (2.0 / self.radius ** 2)
+                                       * np.eye(self.dim))
 
     def to_json(self):
         return {"kind": "bump", "amplitude": self.amplitude,
@@ -383,7 +403,38 @@ class BumpField(SeparableField):
                 "time": self.time.to_json()}
 
 
-class PolyBumpField(SeparableField):
+class _CutoffField(SeparableField):
+    """An inner function f times the radial cutoff b = _bump(|z|^2 / R^2), R the support radius."""
+
+    @abstractmethod
+    def _inner_jet(self, pts, order: int) -> list:
+        """[f, grad f, hess f][:order + 1] at a batch of points."""
+
+    def _cut(self, pts, order):
+        q = _sq_norms(pts) / self.support_radius ** 2
+        return _bump(q, order), pts * (2.0 / self.support_radius ** 2)
+
+    def spatial_value(self, pts):
+        (b,), _ = self._cut(pts, 0)
+        return self._inner_jet(pts, 0)[0] * b
+
+    def spatial_jet(self, pts, order=1):
+        (b, db, *d2b), dq = self._cut(pts, order)
+        f, gf, *hf = self._inner_jet(pts, order)
+        grad = gf * b[:, None] + f[:, None] * db[:, None] * dq
+        if order < 2:
+            return grad, None
+        outer = dq[:, :, None] * dq[:, None, :]
+        cross = gf[:, :, None] * dq[:, None, :]
+        eye = np.eye(self.dim)
+        return grad, (hf[0] * b[:, None, None]
+                      + cross * db[:, None, None] + np.swapaxes(cross, 1, 2) * db[:, None, None]
+                      + f[:, None, None] * (d2b[0][:, None, None] * outer
+                                            + db[:, None, None] * eye
+                                            * (2.0 / self.support_radius ** 2)))
+
+
+class PolyBumpField(_CutoffField):
     """A polynomial times a radial smooth cutoff enforcing exact compact support."""
 
     def __init__(self, monomials, support_radius: float,
@@ -395,55 +446,53 @@ class PolyBumpField(SeparableField):
         for exps, _ in self.monomials:
             if len(exps) != dim:
                 raise ValidationError("monomial exponent length must equal dim")
+        self._degree = [max((e[axis] for e, _ in self.monomials), default=0)
+                        for axis in range(dim)]
+        unit = np.eye(dim, dtype=int)
+        self._value_terms = self._derivative_terms(np.zeros(dim, dtype=int))
+        self._grad_terms = [self._derivative_terms(unit[i]) for i in range(dim)]
+        self._hess_terms = {(i, j): self._derivative_terms(unit[i] + unit[j])
+                            for i in range(dim) for j in range(i, dim)}
 
-    def _poly(self, pts, dx: tuple[int, ...] | None = None):
-        out = np.zeros(pts.shape[0])
+    def _derivative_terms(self, dx) -> list:
+        """The d^dx derivative as [(c, ((factor, axis, power), ...)), ...].
+
+        A term evaluates to c * prod(factor * x_axis^power) multiplied out
+        left to right; monomials that the derivative kills and factors that
+        are exactly 1 (factor 1, power 0) are dropped at construction.
+        """
+        terms = []
         for exps, c in self.monomials:
-            term = np.full(pts.shape[0], c)
-            ok = True
-            for axis, e in enumerate(exps):
-                d = 0 if dx is None else dx[axis]
-                if d > e:
-                    ok = False
-                    break
-                factor = math.perm(e, d)
-                term = term * factor * pts[:, axis] ** (e - d)
-            if ok:
-                out += term
-        return out
+            if any(d > e for d, e in zip(dx, exps)):
+                continue
+            ops = tuple((math.perm(e, int(d)), axis, e - int(d))
+                        for axis, (e, d) in enumerate(zip(exps, dx)))
+            terms.append((c, tuple(op for op in ops if op[0] != 1 or op[2] != 0)))
+        return terms
 
-    def _cut(self, pts):
-        q = _sq_norms(pts) / self.support_radius ** 2
-        return _bump(q), pts * (2.0 / self.support_radius ** 2)
-
-    def spatial_value(self, pts):
-        (b, _, _), _ = self._cut(pts)
-        return self._poly(pts) * b
-
-    def spatial_grad(self, pts):
-        (b, db, _), dq = self._cut(pts)
-        grad_p = np.stack([self._poly(pts, tuple(1 if a == axis else 0 for a in range(self.dim)))
-                           for axis in range(self.dim)], axis=1)
-        return grad_p * b[:, None] + self._poly(pts)[:, None] * db[:, None] * dq
-
-    def spatial_hess(self, pts):
-        (b, db, d2b), dq = self._cut(pts)
+    def _inner_jet(self, pts, order):
         n, d = pts.shape
-        unit = lambda axis: tuple(1 if a == axis else 0 for a in range(d))
-        grad_p = np.stack([self._poly(pts, unit(ax)) for ax in range(d)], axis=1)
-        hess_p = np.empty((n, d, d))
-        for i in range(d):
-            for j in range(d):
-                dx = tuple((1 if a == i else 0) + (1 if a == j else 0) for a in range(d))
-                hess_p[:, i, j] = self._poly(pts, dx)
-        p = self._poly(pts)
-        eye = np.eye(d)
-        outer = dq[:, :, None] * dq[:, None, :]
-        cross = grad_p[:, :, None] * dq[:, None, :]
-        return (hess_p * b[:, None, None]
-                + cross * db[:, None, None] + np.swapaxes(cross, 1, 2) * db[:, None, None]
-                + p[:, None, None] * (d2b[:, None, None] * outer
-                                      + db[:, None, None] * eye * (2.0 / self.support_radius ** 2)))
+        powers = [[1.0] + [pts[:, axis] ** k for k in range(1, self._degree[axis] + 1)]
+                  for axis in range(d)]
+
+        def poly(terms):
+            out = np.zeros(n)
+            for c, ops in terms:
+                term = c
+                for factor, axis, k in ops:
+                    term = term * factor * powers[axis][k]
+                out += term
+            return out
+
+        out = [poly(self._value_terms)]
+        if order >= 1:
+            out.append(np.stack([poly(terms) for terms in self._grad_terms], axis=1))
+        if order >= 2:
+            hess = np.empty((n, d, d))
+            for (i, j), terms in self._hess_terms.items():
+                hess[:, i, j] = hess[:, j, i] = poly(terms)
+            out.append(hess)
+        return out
 
     def to_json(self):
         return {"kind": "poly", "monomials": [[list(e), c] for e, c in self.monomials],
@@ -451,7 +500,7 @@ class PolyBumpField(SeparableField):
                 "dim": self.dim}
 
 
-class GridField(SeparableField):
+class GridField(_CutoffField):
     """Grid samples interpolated by a C^2 bicubic spline, times a smooth cutoff."""
 
     def __init__(self, x0: float, x1: float, values, support_radius: float,
@@ -465,39 +514,20 @@ class GridField(SeparableField):
         ays = np.linspace(self.x0, self.x1, self.values.shape[1])
         self._spline = RectBivariateSpline(axis, ays, self.values, kx=3, ky=3)
 
-    def _sp(self, pts, dx=0, dy=0):
+    def _inner_jet(self, pts, order):
         x = np.clip(pts[:, 0], self.x0, self.x1)
         y = np.clip(pts[:, 1], self.x0, self.x1)
-        return self._spline.ev(x, y, dx=dx, dy=dy)
-
-    def _cut(self, pts):
-        q = _sq_norms(pts) / self.support_radius ** 2
-        return _bump(q), pts * (2.0 / self.support_radius ** 2)
-
-    def spatial_value(self, pts):
-        (b, _, _), _ = self._cut(pts)
-        return self._sp(pts) * b
-
-    def spatial_grad(self, pts):
-        (b, db, _), dq = self._cut(pts)
-        gs = np.stack([self._sp(pts, 1, 0), self._sp(pts, 0, 1)], axis=1)
-        return gs * b[:, None] + self._sp(pts)[:, None] * db[:, None] * dq
-
-    def spatial_hess(self, pts):
-        (b, db, d2b), dq = self._cut(pts)
-        s = self._sp(pts)
-        gs = np.stack([self._sp(pts, 1, 0), self._sp(pts, 0, 1)], axis=1)
-        hs = np.empty((pts.shape[0], 2, 2))
-        hs[:, 0, 0] = self._sp(pts, 2, 0)
-        hs[:, 0, 1] = hs[:, 1, 0] = self._sp(pts, 1, 1)
-        hs[:, 1, 1] = self._sp(pts, 0, 2)
-        eye = np.eye(2)
-        outer = dq[:, :, None] * dq[:, None, :]
-        cross = gs[:, :, None] * dq[:, None, :]
-        return (hs * b[:, None, None]
-                + cross * db[:, None, None] + np.swapaxes(cross, 1, 2) * db[:, None, None]
-                + s[:, None, None] * (d2b[:, None, None] * outer
-                                      + db[:, None, None] * eye * (2.0 / self.support_radius ** 2)))
+        ev = lambda dx, dy: self._spline.ev(x, y, dx=dx, dy=dy)
+        out = [ev(0, 0)]
+        if order >= 1:
+            out.append(np.stack([ev(1, 0), ev(0, 1)], axis=1))
+        if order >= 2:
+            hess = np.empty((pts.shape[0], 2, 2))
+            hess[:, 0, 0] = ev(2, 0)
+            hess[:, 0, 1] = hess[:, 1, 0] = ev(1, 1)
+            hess[:, 1, 1] = ev(0, 2)
+            out.append(hess)
+        return out
 
     def to_json(self):
         return {"kind": "grid", "x0": self.x0, "x1": self.x1,
@@ -521,11 +551,13 @@ class SumField(HamiltonianField):
     def value(self, pts, t):
         return sum(p.value(pts, t) for p in self.parts)
 
-    def grad(self, pts, t):
-        return sum(p.grad(pts, t) for p in self.parts)
+    def jet(self, pts, t, order=1):
+        jets = [p.jet(pts, t, order) for p in self.parts]
+        return (sum(g for g, _ in jets),
+                None if order < 2 else sum(hs for _, hs in jets))
 
-    def hess(self, pts, t):
-        return sum(p.hess(pts, t) for p in self.parts)
+    grad = HamiltonianField.grad
+    hess = HamiltonianField.hess
 
     def space_integral(self, form, t):
         return sum(p.space_integral(form, t) for p in self.parts)
@@ -557,13 +589,13 @@ class ConcatField(HamiltonianField):
         f, s = self._piece(t)
         return 2.0 * f.value(pts, s)
 
-    def grad(self, pts, t):
+    def jet(self, pts, t, order=1):
         f, s = self._piece(t)
-        return 2.0 * f.grad(pts, s)
+        g, hs = f.jet(pts, s, order)
+        return 2.0 * g, None if hs is None else 2.0 * hs
 
-    def hess(self, pts, t):
-        f, s = self._piece(t)
-        return 2.0 * f.hess(pts, s)
+    grad = HamiltonianField.grad
+    hess = HamiltonianField.hess
 
     def space_integral(self, form, t):
         f, s = self._piece(t)
@@ -587,12 +619,14 @@ class ConjugatedField(HamiltonianField):
     def value(self, pts, t):
         return self.base.value(pts @ self.g_inv.T, t)
 
-    def grad(self, pts, t):
-        return self.base.grad(pts @ self.g_inv.T, t) @ self.g_inv
+    def jet(self, pts, t, order=1):
+        g, hs = self.base.jet(pts @ self.g_inv.T, t, order)
+        if hs is not None:
+            hs = np.einsum("ki,nkl,lj->nij", self.g_inv, hs, self.g_inv)
+        return g @ self.g_inv, hs
 
-    def hess(self, pts, t):
-        h = self.base.hess(pts @ self.g_inv.T, t)
-        return np.einsum("ki,nkl,lj->nij", self.g_inv, h, self.g_inv)
+    grad = HamiltonianField.grad
+    hess = HamiltonianField.hess
 
     def space_integral(self, form, t):
         if form.kind != "standard":
@@ -655,7 +689,7 @@ class PrimitiveOneForm:
         r = np.linalg.norm(pts, axis=1)
         base = self.form.primitive_coefficient(r) * np.sum(pts * (vecs @ j), axis=1)
         if self.shift is not None:
-            base = base + np.sum(self.shift.spatial_grad(pts) * vecs, axis=1)
+            base = base + np.sum(self.shift.spatial_jet(pts)[0] * vecs, axis=1)
         return base
 
 
@@ -816,55 +850,57 @@ class FlowMap:
         # the converged midpoint state of the last accepted step, for hooks
         self.last_mid_velocity: np.ndarray | None = None
 
-    def _apply_j(self, g: np.ndarray) -> np.ndarray:
-        """J0 applied to a batch of (co)vectors; hand-rolled in 2-d."""
-        if g.shape[1] == 2:
-            return np.stack([-g[:, 1], g[:, 0]], axis=1)
-        return g @ self._j.T
+    def _apply_j(self, x: np.ndarray) -> np.ndarray:
+        """J0 applied along axis 1 of a batch of vectors or matrices; hand-rolled in 2-d."""
+        if x.shape[1] == 2:
+            out = np.empty_like(x)
+            out[:, 0] = -x[:, 1]
+            out[:, 1] = x[:, 0]
+            return out
+        return np.einsum("ij,nj...->ni...", self._j, x)
+
+    def _field_jet(self, pts, t, order):
+        """X_H = J0 grad H / rho and, for order 2, its linearization DX_H (else None).
+
+        One field jet serves both, so the density form's rho and grad rho
+        are evaluated once per call.
+        """
+        g, m = self.sc.field.jet(pts, t, order)
+        if not self._standard:
+            rho = self.sc.form.rho(pts)
+            if m is not None:
+                m = (m / rho[:, None, None]
+                     - g[:, :, None] * self.sc.form.grad_rho(pts)[:, None, :]
+                     / (rho ** 2)[:, None, None])
+            g = g / rho[:, None]
+        return self._apply_j(g), None if m is None else self._apply_j(m)
 
     def vector_field(self, pts, t):
-        z = self._apply_j(self.sc.field.grad(pts, t))
-        if self._standard:
-            return z
-        return z / self.sc.form.rho(pts)[:, None]
+        return self._field_jet(pts, t, 1)[0]
 
-    def _step(self, pts, t0, want_tangent):
+    def _step(self, pts, t0):
+        """One midpoint step: the new points and DX_H at the converged midpoint.
+
+        Every Newton iterate evaluates the velocity and its linearization
+        together; the converged iterate's linearization is the one the
+        Cayley tangent step needs.
+        """
         h = self.h
         t_mid = t0 + 0.5 * h
-        vel = self.vector_field(pts, t_mid)
-        w = pts + h * vel
+        w = pts + h * self.vector_field(pts, t_mid)
         eye = np.eye(self.sc.dim)
         for it in range(NEWTON_MAX_ITER):
-            mid = 0.5 * (pts + w)
-            vel = self.vector_field(mid, t_mid)
+            vel, a_mid = self._field_jet(0.5 * (pts + w), t_mid, 2)
             resid = w - pts - h * vel
             err = np.max(np.abs(resid))
             if err < NEWTON_TOL * (1.0 + np.max(np.abs(pts))):
                 self.max_newton_iters = max(self.max_newton_iters, it)
                 break
-            a_mid = self._linearized(mid, t_mid)
             w = w - _solve_batch(eye - (0.5 * h) * a_mid, resid)
         else:
             raise IntegrationError(-1, "Newton iteration for the midpoint step did not converge")
         self.last_mid_velocity = vel
-        if not want_tangent:
-            return w, None
-        a_mid = self._linearized(0.5 * (pts + w), t_mid)
         return w, a_mid
-
-    def _linearized(self, pts, t):
-        hess = self.sc.field.hess(pts, t)
-        if self._standard:
-            m = hess
-        else:
-            rho = self.sc.form.rho(pts)
-            g = self.sc.field.grad(pts, t)
-            gr = self.sc.form.grad_rho(pts)
-            m = (hess / rho[:, None, None]
-                 - g[:, :, None] * gr[:, None, :] / (rho ** 2)[:, None, None])
-        if m.shape[1] == 2:
-            return np.stack([-m[:, 1, :], m[:, 0, :]], axis=1)
-        return np.einsum("ij,njk->nik", self._j, m)
 
     def evolve(self, pts, periods: int = 1, tangent=None, step_hook=None):
         """Advance a batch through whole periods; optionally transport tangents.
@@ -881,7 +917,7 @@ class FlowMap:
         for step in range(total):
             t0 = (step % self.steps_per_period) * self.h
             try:
-                new, a_mid = self._step(pts, t0, tangent is not None)
+                new, a_mid = self._step(pts, t0)
             except IntegrationError as exc:
                 raise IntegrationError(step, f"integrator failed at step {step}: {exc}") from exc
             if tangent is not None:
@@ -919,8 +955,11 @@ def integrate_flow(sc: HamiltonianScenario, x0, t: float):
 
 
 def _det2_first_columns(tangent: np.ndarray, n: int) -> np.ndarray:
-    a = tangent[:, :n, :n] + 1j * tangent[:, n:, :n]
-    d = np.linalg.det(a)
+    """(det / |det|)^2 of the complexified first n columns of each tangent."""
+    if n == 1:
+        d = tangent[:, 0, 0] + 1j * tangent[:, 1, 0]
+    else:
+        d = np.linalg.det(tangent[:, :n, :n] + 1j * tangent[:, n:, :n])
     return (d / np.abs(d)) ** 2
 
 

@@ -269,7 +269,8 @@ def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int,
     """
     if p < 1:
         raise ValidationError("p must be >= 1")
-    pts = np.array([[v.base.real, v.base.imag]])
+    z = _chart_point(iso, v.base)
+    pts = np.array([[z.real, z.imag]])
     state = _LiftState(iso, pts, np.array([[v.angle]]), p, lift_stride, keep_trace=True)
     path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi, _ in state.trace]
     return path, CirclePath(np.array([eta[0, 0] for *_, eta in state.trace]))

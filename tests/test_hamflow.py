@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import radial_calabi_oracle, radial_tau_oracle
 from qmlab.errors import ValidationError
-from qmlab.hamflow import (BumpField, ConcatField, FlowMap, GridField,
+from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap, GridField,
                            HamiltonianScenario, HyperbolicForm, PolyBumpField,
                            PrimitiveOneForm, QuadratureRule, RadialField,
                            StandardForm, SumField, TimeProfile, birkhoff_average,
@@ -332,6 +332,26 @@ def test_tau_integrand_matches_phi_lag_route():
     assert via_path == pytest.approx(tracker.turns[0] / p, abs=1e-9)
 
 
+def test_det2_n1_fast_path_matches_det(monkeypatch):
+    from qmlab.hamflow import _det2_first_columns
+    rng = np.random.default_rng(17)
+    tan = rng.standard_normal((500, 2, 2))
+    det = np.linalg.det(tan)
+    tan[det < 0, :, 0] *= -1.0
+    tan /= np.sqrt(np.abs(det))[:, None, None]  # random 2x2 symplectic tangents
+    d = np.linalg.det(tan[:, :1, :1] + 1j * tan[:, 1:, :1])
+    via_det = (d / np.abs(d)) ** 2
+    assert np.max(np.abs(_det2_first_columns(tan, 1) - via_det)) <= 8 * np.finfo(float).eps
+    calls = []
+    real_det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or real_det(a))
+    _det2_first_columns(tan, 1)
+    assert calls == []
+    tan4 = np.broadcast_to(np.eye(4), (3, 4, 4))
+    assert np.allclose(_det2_first_columns(tan4, 2), 1.0)
+    assert calls == [(3, 2, 2)]
+
+
 # ---------------------------------------------------------------- theorem 3
 
 def test_s_restriction_is_tau_plus_s_calabi():
@@ -371,28 +391,48 @@ def test_grid_field_reproduces_smooth_data():
         assert np.allclose(fd, f.grad(pts, 0.0)[:, axis], atol=1e-5)
 
 
-def test_poly_bump_derivatives_consistent():
-    f = PolyBumpField([[(2, 0), 1.0], [(1, 1), -0.5], [(0, 3), 0.2]], support_radius=0.9)
-    pts = np.array([[0.2, 0.3], [-0.4, 0.1], [0.6, -0.5]])
-    h = 1e-6
-    for axis in range(2):
-        e = np.zeros(2)
-        e[axis] = h
-        fd = (f.spatial_value(pts + e) - f.spatial_value(pts - e)) / (2 * h)
-        assert np.allclose(fd, f.spatial_grad(pts)[:, axis], atol=1e-8)
-        fd2 = (f.spatial_grad(pts + e) - f.spatial_grad(pts - e)) / (2 * h)
-        assert np.allclose(fd2, f.spatial_hess(pts)[:, :, axis], atol=1e-6)
+_GRID_X = np.linspace(-1.1, 1.1, 41)
+_JET_CASES = {
+    # field, points, finite-difference step, gradient and Hessian tolerances
+    "poly": (PolyBumpField([[(2, 0), 1.0], [(1, 1), -0.5], [(0, 3), 0.2]], support_radius=0.9),
+             [[0.2, 0.3], [-0.4, 0.1], [0.6, -0.5]], 1e-6, 1e-8, 1e-6),
+    "bump": (BumpField(1.3, [0.2, -0.1], 0.5),
+             [[0.25, 0.0], [0.4, -0.2], [0.1, 0.05]], 1e-7, 1e-6, 1e-6),
+    "radial": (RadialField([1.0, -0.5, 0.3], support_radius=0.8,
+                           time=TimeProfile(poly=(1.0, 0.2), cos=((0.3, 1),))),
+               [[0.2, 0.3], [-0.5, 0.4], [0.0, 0.7]], 1e-6, 1e-8, 1e-6),
+    "radial_4d": (RadialField([1.0, 0.4], support_radius=0.8, dim=4),
+                  [[0.2, 0.3, -0.1, 0.1], [-0.3, 0.1, 0.4, -0.2]], 1e-6, 1e-8, 1e-6),
+    "grid": (GridField(-1.1, 1.1, np.exp(-4 * (_GRID_X[:, None] ** 2 + _GRID_X[None, :] ** 2)),
+                       support_radius=1.0),
+             [[0.25, 0.1], [0.5, -0.3], [-0.6, 0.45]], 1e-6, 1e-8, 1e-6),
+    "sum": (SumField([BumpField(0.9, [0.45, 0.0], 0.3), BumpField(-0.6, [-0.45, 0.0], 0.3)]),
+            [[0.5, 0.1], [-0.4, -0.1], [0.0, 0.2]], 1e-6, 1e-8, 1e-6),
+    "concat": (ConcatField(RadialField([1.0], support_radius=0.7),
+                           BumpField(0.5, [0.1, 0.1], 0.4)),
+               [[0.2, 0.3], [0.3, -0.1], [-0.2, 0.25]], 1e-6, 1e-8, 1e-6),
+    "conjugated": (ConjugatedField(RadialField([1.0, 0.5], support_radius=0.5),
+                                   np.array([[1.2, 0.3], [0.0, 1.0 / 1.2]])),
+                   [[0.2, 0.1], [-0.3, 0.2], [0.4, -0.1]], 1e-6, 1e-8, 1e-6),
+}
 
 
-def test_bump_field_derivatives_consistent():
-    f = BumpField(1.3, [0.2, -0.1], 0.5)
-    pts = np.array([[0.25, 0.0], [0.4, -0.2], [0.1, 0.05]])
-    h = 1e-7
-    for axis in range(2):
-        e = np.zeros(2)
-        e[axis] = h
-        fd = (f.spatial_value(pts + e) - f.spatial_value(pts - e)) / (2 * h)
-        assert np.allclose(fd, f.spatial_grad(pts)[:, axis], atol=1e-6)
+@pytest.mark.parametrize("kind", list(_JET_CASES))
+def test_jet_matches_finite_differences(kind):
+    f, pts, h, tol_grad, tol_hess = _JET_CASES[kind]
+    pts = np.asarray(pts)
+    for t in (0.3, 0.7):  # both halves of a concatenation
+        grad, hess = f.jet(pts, t, 2)
+        grad1, none = f.jet(pts, t, 1)
+        assert none is None and np.array_equal(grad1, grad)
+        assert np.array_equal(f.grad(pts, t), grad) and np.array_equal(f.hess(pts, t), hess)
+        for axis in range(f.dim):
+            e = np.zeros(f.dim)
+            e[axis] = h
+            fd = (f.value(pts + e, t) - f.value(pts - e, t)) / (2 * h)
+            assert np.allclose(fd, grad[:, axis], atol=tol_grad)
+            fd2 = (f.jet(pts + e, t, 1)[0] - f.jet(pts - e, t, 1)[0]) / (2 * h)
+            assert np.allclose(fd2, hess[:, :, axis], atol=tol_hess)
 
 
 def test_scenario_json_roundtrip():

@@ -234,6 +234,8 @@ def test_trajectory_leaving_disk_raises():
     for estimate in (angle_estimate, fiber_index_spread):
         with pytest.raises(ValidationError):
             estimate(iso, (0.7, 0.0), p=1)
+    with pytest.raises(ValidationError):
+        theta_lift(iso, UnitDirection(0.7 + 0.0j, 0.0), p=1)
 
 
 # ---------------------------------------------------------------- angle
