@@ -13,6 +13,14 @@ piecewise-linear density in the field parameter: a triangle crossed by the
 level contributes a linear density on each interval between its own vertex
 values, so recording the totals at every traversed vertex level makes
 downstream quadrature exact for PL data.
+
+A mesh validates its topology once, with array operations, when it is
+built; rescaled copies (``normalized``) share it.  The vertex links are
+cached on the mesh as one flat array of ring entries plus per-vertex
+offsets, so every field on the same mesh classifies its vertices in one
+vectorized pass over those arrays, and the sweep reuses the classification's
+ranks and the cached links.  A split saddle finds its two new level
+components by walking the level curve from triangle to triangle.
 """
 
 from __future__ import annotations
@@ -20,8 +28,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .errors import (DegenerateSaddleError, InvariantError, ValidationError)
 
@@ -45,68 +55,40 @@ class SurfaceMesh:
         Consistently oriented triangles (each directed edge appears once).
     area_weights : (F,) float array, optional
         Positive symplectic area per triangle; Euclidean area by default.
+
+    The mesh keeps read-only copies of ``vertices`` and ``triangles``; its
+    topology is validated once, here, and shared with rescaled copies.
     """
 
     def __init__(self, vertices, triangles, area_weights=None):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=int)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+        vertices = np.array(vertices, dtype=float)
+        triangles = np.array(triangles, dtype=int)
+        if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValidationError("vertices must be (V, 3)")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValidationError("triangles must be (F, 3)")
-        if self.triangles.size and (self.triangles.min() < 0
-                                    or self.triangles.max() >= len(self.vertices)):
+        if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValidationError("triangle index out of range")
+        vertices.flags.writeable = False
+        triangles.flags.writeable = False
         if area_weights is None:
-            p = self.vertices
-            t = self.triangles
+            p, t = vertices, triangles
             cross = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
             area_weights = 0.5 * np.linalg.norm(cross, axis=1)
-        self.area_weights = np.asarray(area_weights, dtype=float)
-        if self.area_weights.shape != (len(self.triangles),):
-            raise ValidationError("area_weights must have one entry per triangle")
-        if np.any(self.area_weights <= 0):
-            raise ValidationError("area weights must be positive")
-        self._validate_topology()
+        self.area_weights = _checked_weights(area_weights, len(triangles))
+        self._topo = _Topology(vertices, triangles)
 
-    def _validate_topology(self):
-        directed = {}
-        undirected = {}
-        for ti, (a, b, c) in enumerate(self.triangles):
-            if len({a, b, c}) != 3:
-                raise ValidationError(f"triangle {ti} is degenerate")
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (u, v) in directed:
-                    raise ValidationError(
-                        f"directed edge ({u},{v}) repeated: mesh is non-manifold or inconsistently oriented")
-                directed[(u, v)] = ti
-                undirected.setdefault((min(u, v), max(u, v)), []).append(ti)
-        for e, tris in undirected.items():
-            if len(tris) != 2:
-                raise ValidationError(f"edge {e} lies in {len(tris)} triangles; surface must be closed")
-        # connectivity
-        parent = list(range(len(self.vertices)))
+    @property
+    def vertices(self) -> np.ndarray:
+        return self._topo.vertices
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    @property
+    def triangles(self) -> np.ndarray:
+        return self._topo.triangles
 
-        for a, b, c in self.triangles:
-            for u, v in ((a, b), (b, c)):
-                parent[find(u)] = find(v)
-        roots = {find(v) for v in range(len(self.vertices))}
-        if len(roots) != 1:
-            raise ValidationError("mesh is not connected")
-        self._edge_tris = {e: tuple(t) for e, t in undirected.items()}
-        chi = len(self.vertices) - len(undirected) + len(self.triangles)
-        if chi % 2:
-            raise ValidationError(f"Euler characteristic {chi} is odd")
-        genus = (2 - chi) // 2
-        if genus < 0:
-            raise ValidationError(f"Euler characteristic {chi} exceeds 2")
-        self.genus = genus
+    @property
+    def genus(self) -> int:
+        return self._topo.genus
 
     @property
     def n_vertices(self) -> int:
@@ -117,31 +99,13 @@ class SurfaceMesh:
         return float(self.area_weights.sum())
 
     def edge_triangles(self, u: int, v: int) -> tuple[int, ...]:
-        return self._edge_tris[(min(u, v), max(u, v))]
+        return self._topo.edge_tris[(min(u, v), max(u, v))]
 
     def vertex_rings(self) -> list[list[int]]:
         """The link of each vertex as an oriented cycle of neighbours."""
-        succ: list[dict[int, int]] = [dict() for _ in range(self.n_vertices)]
-        for a, b, c in self.triangles:
-            succ[a][b] = c
-            succ[b][c] = a
-            succ[c][a] = b
-        rings = []
-        for v, nxt in enumerate(succ):
-            if not nxt:
-                raise ValidationError(f"vertex {v} is isolated")
-            start = next(iter(nxt))
-            ring = [start]
-            cur = nxt[start]
-            while cur != start:
-                ring.append(cur)
-                cur = nxt[cur]
-                if len(ring) > len(nxt):
-                    raise ValidationError(f"link of vertex {v} is not a single cycle")
-            if len(ring) != len(nxt):
-                raise ValidationError(f"link of vertex {v} is not a single cycle")
-            rings.append(ring)
-        return rings
+        entries, offsets = self._topo.links()
+        flat, bounds = entries.tolist(), offsets.tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def normalized(self, target: float | None = None) -> "SurfaceMesh":
         """Rescale area weights to a given total (default 2g-2, genus >= 2)."""
@@ -151,8 +115,124 @@ class SurfaceMesh:
             target = 2.0 * self.genus - 2.0
         if target <= 0:
             raise ValidationError("normalization target must be positive")
-        return SurfaceMesh(self.vertices, self.triangles,
-                           self.area_weights * (target / self.total_area))
+        mesh = SurfaceMesh.__new__(SurfaceMesh)
+        mesh.area_weights = _checked_weights(self.area_weights * (target / self.total_area),
+                                             len(self.triangles))
+        mesh._topo = self._topo
+        return mesh
+
+
+def _checked_weights(area_weights, n_triangles: int) -> np.ndarray:
+    weights = np.asarray(area_weights, dtype=float)
+    if weights.shape != (n_triangles,):
+        raise ValidationError("area_weights must have one entry per triangle")
+    if np.any(weights <= 0):
+        raise ValidationError("area weights must be positive")
+    return weights
+
+
+class _Topology:
+    """Validated connectivity of a triangle mesh, shared by its rescaled copies.
+
+    Half-edges are numbered ``3 * ti + j`` for the edges (a, b), (b, c),
+    (c, a) of triangle ``ti = (a, b, c)``, so every check below that names
+    "the first" offender means the first in that order.
+    """
+
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
+        # imported here: csgraph adds about 1 MB to every process importing qmlab
+        from scipy.sparse.csgraph import connected_components
+
+        self.vertices = vertices
+        self.triangles = triangles
+        n_v, t = len(vertices), triangles
+        tail = t.ravel()
+        head = t[:, [1, 2, 0]].ravel()
+        degenerate = np.flatnonzero((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
+                                    | (t[:, 2] == t[:, 0]))
+        repeat = _first_repeat(tail * n_v + head)
+        if degenerate.size and (repeat is None or degenerate[0] <= repeat // 3):
+            raise ValidationError(f"triangle {degenerate[0]} is degenerate")
+        if repeat is not None:
+            u, v = tail[repeat], head[repeat]
+            raise ValidationError(
+                f"directed edge ({u},{v}) repeated: mesh is non-manifold or inconsistently oriented")
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        edge_key = lo * n_v + hi
+        keys, first, counts = np.unique(edge_key, return_index=True, return_counts=True)
+        open_edges = np.flatnonzero(counts != 2)
+        if open_edges.size:
+            j = open_edges[np.argmin(first[open_edges])]
+            e = (int(lo[first[j]]), int(hi[first[j]]))
+            raise ValidationError(f"edge {e} lies in {counts[j]} triangles; surface must be closed")
+        n_parts = connected_components(
+            coo_matrix((np.ones(tail.size, dtype=np.int8), (tail, head)), shape=(n_v, n_v)),
+            directed=False)[0]
+        if n_parts != 1:
+            raise ValidationError("mesh is not connected")
+        # both half-edges of each undirected edge, in half-edge order
+        pairs = np.argsort(edge_key, kind="stable").reshape(-1, 2)
+        self.edge_tris = dict(zip(zip(lo[pairs[:, 0]].tolist(), hi[pairs[:, 0]].tolist()),
+                                  zip((pairs[:, 0] // 3).tolist(), (pairs[:, 1] // 3).tolist())))
+        chi = n_v - len(keys) + len(t)
+        if chi % 2:
+            raise ValidationError(f"Euler characteristic {chi} is odd")
+        genus = (2 - chi) // 2
+        if genus < 0:
+            raise ValidationError(f"Euler characteristic {chi} exceeds 2")
+        self.genus = genus
+        self._links = None
+
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex links in CSR form: ``entries[offsets[v]:offsets[v + 1]]`` is
+        the oriented cycle of neighbours of v, built on first use."""
+        if self._links is None:
+            self._links = _vertex_links(self.triangles, len(self.vertices))
+        return self._links
+
+
+def _first_repeat(keys: np.ndarray) -> int | None:
+    """The first position whose key already occurred earlier, or None."""
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(later.min()) if later.size else None
+
+
+def _vertex_links(triangles: np.ndarray, n_v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walk every vertex link at once over the triangle corners.
+
+    The corner of v in triangle (v, k, w) maps k to w, and the link of v
+    is the cycle of that map.  A ring starts at k of v's first triangle and
+    follows the corner whose k is the current w; the vertices are walked
+    in parallel, one ring position per step.
+    """
+    center = triangles.ravel()
+    key = triangles[:, [1, 2, 0]].ravel()
+    succ = triangles[:, [2, 0, 1]].ravel()
+    deg = np.bincount(center, minlength=n_v)
+    offsets = np.zeros(n_v + 1, dtype=np.intp)
+    np.cumsum(deg, out=offsets[1:])
+    # half-edge (v, k) -> its corner; (v, w) exists for every corner of a closed mesh
+    halfedge = center * n_v + key
+    by_halfedge = np.argsort(halfedge)
+    nxt = by_halfedge[np.searchsorted(halfedge, center * n_v + succ, sorter=by_halfedge)]
+    start = np.argsort(center, kind="stable")[offsets[:-1]]
+    entries = np.empty(center.size, dtype=np.intp)
+    cur = start.copy()
+    broken = np.zeros(n_v, dtype=bool)
+    for i in range(int(deg.max(initial=0))):
+        live = np.flatnonzero(deg > i)
+        c = cur[live]
+        if i:
+            broken[live[c == start[live]]] = True
+        entries[offsets[live] + i] = key[c]
+        cur[live] = nxt[c]
+    broken |= cur != start
+    if np.any(broken):
+        raise ValidationError(f"link of vertex {int(np.argmax(broken))} is not a single cycle")
+    entries.flags.writeable = False
+    offsets.flags.writeable = False
+    return entries, offsets
 
 
 def read_off(text: str) -> SurfaceMesh:
@@ -169,16 +249,15 @@ def read_off(text: str) -> SurfaceMesh:
         pos = 4
         verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
         pos += 3 * nv
-        tris = []
-        for _ in range(nf):
-            k = int(tokens[pos])
-            if k != 3:
-                raise ValidationError("only triangle faces are supported")
-            tris.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-            pos += 4
+        faces = np.array(tokens[pos:pos + 4 * nf], dtype=int)
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed OFF file: {exc}") from exc
-    return SurfaceMesh(verts, np.array(tris, dtype=int))
+    complete = faces[:4 * (faces.size // 4)].reshape(-1, 4)
+    if np.any(complete[:, 0] != 3):
+        raise ValidationError("only triangle faces are supported")
+    if len(complete) < nf:
+        raise ValidationError(f"malformed OFF file: {len(complete)} of {nf} faces present")
+    return SurfaceMesh(verts, complete[:, 1:])
 
 
 def write_off(mesh: SurfaceMesh) -> str:
@@ -242,30 +321,46 @@ def _lower_arc_groups(ring: list[int], is_low) -> list[list[int]]:
     return groups
 
 
+_KIND_BY_CODE = (KIND_MIN, KIND_MAX, KIND_REGULAR, KIND_SADDLE)
+
+
+def _classify(mesh: SurfaceMesh, f: MorseField) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Kinds of all vertices, the sweep order and each vertex's rank in it.
+
+    The sweep order is the total order by ``(value, id)``.  A vertex's ring
+    entry is lower when its rank is lower, and every maximal cyclic run of
+    lower entries ends where a lower entry is followed by a higher one, so
+    the number of such ends is the number of lower arcs.
+    """
+    if len(f.values) != mesh.n_vertices:
+        raise ValidationError("field length does not match the mesh")
+    entries, offsets = mesh._topo.links()
+    n_v = mesh.n_vertices
+    order = np.lexsort((np.arange(n_v), f.values))
+    rank = np.empty(n_v, dtype=np.intp)
+    rank[order] = np.arange(n_v)
+    deg = np.diff(offsets)
+    starts = offsets[:-1]
+    low = rank[entries] < np.repeat(rank, deg)
+    nxt = np.arange(1, entries.size + 1)
+    nxt[offsets[1:] - 1] = starts
+    n_low = np.add.reduceat(low, starts, dtype=np.intp)
+    arcs = np.add.reduceat(low & ~low[nxt], starts, dtype=np.intp)
+    degenerate = np.flatnonzero(arcs >= 3)
+    if degenerate.size:
+        raise DegenerateSaddleError(int(degenerate[0]))
+    codes = np.where(n_low == 0, 0, np.where(n_low == deg, 1, 1 + arcs))
+    return [_KIND_BY_CODE[c] for c in codes.tolist()], order, rank
+
+
 def classify_vertices(mesh: SurfaceMesh, f: MorseField) -> list[str]:
     """PL classification of every vertex (min / max / saddle / regular).
 
     Raises :class:`DegenerateSaddleError` when a lower link has three or
-    more components (a monkey saddle survives the tie-break).
+    more components (a monkey saddle survives the tie-break); the error
+    names the lowest such vertex id.
     """
-    if len(f.values) != mesh.n_vertices:
-        raise ValidationError("field length does not match the mesh")
-    kinds = []
-    for v, ring in enumerate(mesh.vertex_rings()):
-        lower = _lower_arc_groups(ring, lambda u: f.below(u, v))
-        n_low = len(lower)
-        total_low = sum(len(g) for g in lower)
-        if total_low == 0:
-            kinds.append(KIND_MIN)
-        elif total_low == len(ring):
-            kinds.append(KIND_MAX)
-        elif n_low == 1:
-            kinds.append(KIND_REGULAR)
-        elif n_low == 2:
-            kinds.append(KIND_SADDLE)
-        else:
-            raise DegenerateSaddleError(v)
-    return kinds
+    return _classify(mesh, f)[0]
 
 
 def random_morse_field(mesh: SurfaceMesh, rng: np.random.Generator,
@@ -358,8 +453,19 @@ class ReebGraph:
     edges: dict[int, ReebEdge]
     genus: int
 
+    @cached_property
+    def _incidence(self) -> dict[int, list[ReebEdge]]:
+        """Node id -> incident edges in edge order, built once per graph."""
+        inc: dict[int, list[ReebEdge]] = {}
+        for e in self.edges.values():
+            inc.setdefault(e.lo, []).append(e)
+            if e.hi != e.lo:
+                inc.setdefault(e.hi, []).append(e)
+        return inc
+
     def degree(self, node_id: int) -> int:
-        return sum((e.lo == node_id) + (e.hi == node_id) for e in self.edges.values())
+        return sum((e.lo == node_id) + (e.hi == node_id)
+                   for e in self._incidence.get(node_id, ()))
 
     def degrees(self) -> dict[int, int]:
         deg = {nid: 0 for nid in self.nodes}
@@ -377,25 +483,27 @@ class ReebGraph:
         return sum(e.measure for e in self.edges.values())
 
     def incident_edges(self, node_id: int) -> list[ReebEdge]:
-        return [e for e in self.edges.values() if e.lo == node_id or e.hi == node_id]
+        return list(self._incidence.get(node_id, ()))
 
 
-def _tri_coeffs(lams: tuple[float, float, float], area: float, regime: int) -> tuple[float, float]:
-    """Density contribution (a, b) with density(c) = a + b*c for one regime.
+def _tri_coeffs(lams: np.ndarray, area: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Density contributions (a, b), density(c) = a + b*c, of every triangle.
 
-    Zero-width regimes (tied values) contribute nothing: they are only ever
-    evaluated on value intervals of zero length.
+    ``lams`` holds each triangle's vertex values in sweep order.  Returns
+    ``(a1, b1, a2, b2)``: regime 1 is the level between the lowest and the
+    middle vertex, regime 2 between the middle and the highest.  Zero-width
+    regimes (tied values) contribute nothing: they are only ever evaluated
+    on value intervals of zero length.
     """
-    l1, l2, l3 = lams
-    if regime == 1:
-        den = (l2 - l1) * (l3 - l1)
-        if den == 0.0:
-            return 0.0, 0.0
-        return -2.0 * area * l1 / den, 2.0 * area / den
-    den = (l3 - l2) * (l3 - l1)
-    if den == 0.0:
-        return 0.0, 0.0
-    return 2.0 * area * l3 / den, -2.0 * area / den
+    l1, l2, l3 = lams.T
+    den1 = (l2 - l1) * (l3 - l1)
+    den2 = (l3 - l2) * (l3 - l1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1 = np.where(den1 == 0.0, 0.0, -2.0 * area * l1 / den1)
+        b1 = np.where(den1 == 0.0, 0.0, 2.0 * area / den1)
+        a2 = np.where(den2 == 0.0, 0.0, 2.0 * area * l3 / den2)
+        b2 = np.where(den2 == 0.0, 0.0, -2.0 * area / den2)
+    return a1, b1, a2, b2
 
 
 class _Comp:
@@ -423,45 +531,60 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
     values are stored on ``h_breakpoints`` for later use as a graph
     Hamiltonian.
     """
-    kinds = classify_vertices(mesh, f)
-    vals = f.values
-    n_v = mesh.n_vertices
-    order = sorted(range(n_v), key=lambda v: (vals[v], v))
-    pos = np.empty(n_v, dtype=int)
-    for rank, v in enumerate(order):
-        pos[v] = rank
-    rings = mesh.vertex_rings()
+    kinds, order_arr, rank = _classify(mesh, f)
+    entries, offsets = mesh._topo.links()
+    tris_arr = mesh.triangles
+    tri_rank = rank[tris_arr]
+    # triangles with their vertices in sweep order, and each corner's place in it
+    by_rank = np.argsort(tri_rank, axis=1)
+    tri_sorted_arr = np.take_along_axis(tris_arr, by_rank, axis=1)
+    a1, b1, a2, b2 = _tri_coeffs(f.values[tri_sorted_arr], mesh.area_weights)
+    # Change of a triangle's density coefficients as the sweep passes one of
+    # its corners: the lowest opens regime 1, the middle switches to regime
+    # 2, the highest closes regime 2.  Corners are listed per vertex in
+    # triangle order (the CSR offsets of the vertex links).
+    place = np.argsort(by_rank, axis=1).ravel()
+    by_vertex = np.argsort(tris_arr.ravel(), kind="stable")
+    corner_tri, corner_place = by_vertex // 3, place[by_vertex]
+    # new minus old, with 0.0 for a closed regime, so that signed zeros match
+    da = np.stack([a1 - 0.0, a2 - a1, 0.0 - a2], axis=1)[corner_tri, corner_place]
+    db = np.stack([b1 - 0.0, b2 - b1, 0.0 - b2], axis=1)[corner_tri, corner_place]
 
-    # triangles sorted by the sweep order, with their true values
-    tris = mesh.triangles
-    tri_sorted = []
-    for ti, tri in enumerate(tris):
-        svs = sorted(tri, key=lambda u: pos[u])
-        tri_sorted.append((svs[0], svs[1], svs[2]))
-    tri_lams = [(vals[a], vals[b], vals[c]) for a, b, c in tri_sorted]
-    vertex_tris: list[list[int]] = [[] for _ in range(n_v)]
-    for ti, tri in enumerate(tris):
-        for u in tri:
-            vertex_tris[u].append(ti)
+    # Python lists: the sweep reads them one element at a time
+    vals = f.values.tolist()
+    order = order_arr.tolist()
+    pos = rank.tolist()
+    ring_flat, bounds = entries.tolist(), offsets.tolist()
+    star_da, star_db = da.tolist(), db.tolist()
+    tri_sum = tris_arr.sum(axis=1).tolist()
+    mid_rank = np.sort(tri_rank, axis=1)[:, 1].tolist()
+    regime1, regime2 = (a1.tolist(), b1.tolist()), (a2.tolist(), b2.tolist())
+    edge_tris = mesh._topo.edge_tris
+    verts = mesh.vertices
 
     def ek(u, v):
         return (u, v) if u < v else (v, u)
 
-    def tri_state(ti: int, k: int) -> int:
-        """0: not crossed at position k, 1/2: crossed in that regime."""
-        a, b, c = tri_sorted[ti]
-        if pos[a] <= k < pos[c]:
-            return 1 if k < pos[b] else 2
-        return 0
+    def level_cycle(e0: tuple[int, int], k: int) -> set[tuple[int, int]]:
+        """Crossed edges of the level curve through e0 at position k.
 
-    def tri_crossed_edges(ti: int, k: int) -> list[tuple[int, int]]:
-        a, b, c = (int(x) for x in tris[ti])
-        out = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            lo, hi = (u, v) if pos[u] < pos[v] else (v, u)
-            if pos[lo] <= k < pos[hi]:
-                out.append(ek(u, v))
-        return out
+        The level leaves a crossed triangle through its other crossed edge:
+        the one joining the third vertex to the endpoint on the far side of
+        the level.  Every crossed edge lies in two crossed triangles, so the
+        walk closes on e0.
+        """
+        cycle = {e0}
+        e, ti = e0, edge_tris[e0][0]
+        while True:
+            x, y = e
+            below, above = (x, y) if pos[x] <= k else (y, x)
+            z = tri_sum[ti] - x - y
+            e = ek(z, above) if pos[z] <= k else ek(below, z)
+            if e == e0:
+                return cycle
+            cycle.add(e)
+            t1, t2 = edge_tris[e]
+            ti = t2 if t1 == ti else t1
 
     comps: dict[int, _Comp] = {}
     edge_comp: dict[tuple[int, int], int] = {}
@@ -484,7 +607,7 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
         nonlocal next_node
         nid = next_node
         next_node += 1
-        nodes[nid] = ReebNode(id=nid, f=float(vals[v]), kind=kind, vertex=v)
+        nodes[nid] = ReebNode(id=nid, f=vals[v], kind=kind, vertex=v)
         return nid
 
     def open_redge(lo_node: int, c: float, density: float, src: tuple) -> int:
@@ -505,10 +628,10 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
         for (u, w) in comp.edges:
             fu, fw = vals[u], vals[w]
             if fu == fw:
-                pt = 0.5 * (mesh.vertices[u] + mesh.vertices[w])
+                pt = 0.5 * (verts[u] + verts[w])
             else:
                 t = np.clip((c - fu) / (fw - fu), 0.0, 1.0)
-                pt = (1 - t) * mesh.vertices[u] + t * mesh.vertices[w]
+                pt = (1 - t) * verts[u] + t * verts[w]
             samples.append(float(sample_field(pt)))
         if not samples:
             return
@@ -523,29 +646,21 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
         redges[comp.redge]["hi"] = node
         redges[comp.redge]["f_hi"] = c
 
-    def star_delta(v: int, k: int) -> list[tuple[int, tuple[float, float], tuple[float, float]]]:
-        """Per incident triangle: (ti, old (a,b), new (a,b)) across position k."""
-        out = []
-        for ti in vertex_tris[v]:
-            before = tri_state(ti, k - 1) if k > 0 else 0
-            after = tri_state(ti, k)
-            old = _tri_coeffs(tri_lams[ti], mesh.area_weights[ti], before) if before else (0.0, 0.0)
-            new = _tri_coeffs(tri_lams[ti], mesh.area_weights[ti], after) if after else (0.0, 0.0)
-            out.append((ti, old, new))
-        return out
-
     for k, v in enumerate(order):
-        lam = float(vals[v])
+        lam = vals[v]
         kind = kinds[v]
-        ring = rings[v]
+        lo_v, hi_v = bounds[v], bounds[v + 1]
+        ring = ring_flat[lo_v:hi_v]
         down_edges = [ek(u, v) for u in ring if pos[u] < k]
         up_edges = [ek(u, v) for u in ring if pos[u] > k]
-        deltas = star_delta(v, k)
+        deltas = list(zip(star_da[lo_v:hi_v], star_db[lo_v:hi_v]))
 
         if kind == KIND_MIN:
             node = new_node(v, KIND_MIN)
-            a = sum(d[2][0] - d[1][0] for d in deltas)
-            b = sum(d[2][1] - d[1][1] for d in deltas)
+            a = b = 0.0
+            for da_t, db_t in deltas:
+                a += da_t
+                b += db_t
             rid = open_redge(node, lam, a + b * lam, tuple(sorted(up_edges)))
             cid = new_comp(set(up_edges), a, b, rid)
             if sample_field is not None:
@@ -567,9 +682,9 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
             cid = edge_comp[down_edges[0]]
             comp = comps[cid]
             record_bp(comp, lam)
-            for _, old, new in deltas:
-                comp.a += new[0] - old[0]
-                comp.b += new[1] - old[1]
+            for da_t, db_t in deltas:
+                comp.a += da_t
+                comp.b += db_t
             for e in down_edges:
                 comp.edges.discard(e)
                 edge_comp.pop(e, None)
@@ -592,9 +707,9 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
                 merged = (comps[c1].edges | comps[c2].edges)
                 a = comps[c1].a + comps[c2].a
                 b = comps[c1].b + comps[c2].b
-                for _, old, new in deltas:
-                    a += new[0] - old[0]
-                    b += new[1] - old[1]
+                for da_t, db_t in deltas:
+                    a += da_t
+                    b += db_t
                 for e in down_edges:
                     merged.discard(e)
                     edge_comp.pop(e, None)
@@ -612,46 +727,31 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
                 for e in down_edges:
                     pool.discard(e)
                 pool.update(up_edges)
-                parent = {e: e for e in pool}
-
-                def find(e):
-                    while parent[e] != e:
-                        parent[e] = parent[parent[e]]
-                        e = parent[e]
-                    return e
-
-                seen_tris = set()
-                for e in pool:
-                    for ti in mesh.edge_triangles(*e):
-                        if ti in seen_tris or tri_state(ti, k) == 0:
-                            continue
-                        seen_tris.add(ti)
-                        ce = tri_crossed_edges(ti, k)
-                        for other in ce[1:]:
-                            ra, rb = find(ce[0]), find(other)
-                            if ra != rb:
-                                parent[ra] = rb
-                groups_by_root: dict = {}
-                for e in pool:
-                    groups_by_root.setdefault(find(e), set()).add(e)
-                parts = sorted(groups_by_root.values(), key=lambda s: min(s))
-                if len(parts) != 2:
+                cycles = []
+                remaining = set(pool)
+                while remaining:
+                    cycle = level_cycle(next(iter(remaining)), k)
+                    remaining -= cycle
+                    cycles.append(cycle)
+                if len(cycles) != 2:
                     raise InvariantError(
-                        f"saddle at vertex {v} produced {len(parts)} components; expected 2 on an orientable surface")
+                        f"saddle at vertex {v} produced {len(cycles)} components; expected 2 on an orientable surface")
+                # each part lists its edges in pool order
+                parts = ({e for e in pool if e in cycles[0]}, {e for e in pool if e not in cycles[0]})
+                parts = sorted(parts, key=min)
                 for e in down_edges:
                     edge_comp.pop(e, None)
                 del comps[c1]
                 for part in parts:
+                    # both triangles on a crossed edge are crossed
                     tset = set()
                     for e in part:
-                        for ti in mesh.edge_triangles(*e):
-                            if tri_state(ti, k):
-                                tset.add(ti)
+                        tset.update(edge_tris[e])
                     a = b = 0.0
                     for ti in tset:
-                        ca, cb = _tri_coeffs(tri_lams[ti], mesh.area_weights[ti], tri_state(ti, k))
-                        a += ca
-                        b += cb
+                        ca, cb = regime1 if k < mid_rank[ti] else regime2
+                        a += ca[ti]
+                        b += cb[ti]
                     rid = open_redge(node, lam, a + b * lam,
                                      tuple(sorted(e for e in part if v in e)))
                     cid = new_comp(part, a, b, rid)
@@ -663,7 +763,7 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
 
     node_h = None
     if sample_field is not None:
-        node_h = {nid: float(sample_field(mesh.vertices[node.vertex]))
+        node_h = {nid: float(sample_field(verts[node.vertex]))
                   for nid, node in nodes.items()}
 
     edges: dict[int, ReebEdge] = {}

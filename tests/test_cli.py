@@ -1,16 +1,21 @@
 """CLI tests: spec parsing, dispatch, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmlab
 from qmlab import cli
 from qmlab.hamflow import (RadialField, HamiltonianScenario, HyperbolicForm,
                            StandardForm, scenario_to_json)
 from qmlab.hypgeo import DiskIsotopy, isotopy_to_json
 from qmlab.meshes import genus2_mesh, height_field
-from qmlab.reeb import write_off
+from qmlab.reeb import random_morse_field, write_off
 from qmlab.symplectic import SpPath, full_rotation_loop, path_to_json
 
 
@@ -58,6 +63,33 @@ def test_reeb_kind_constant_hamiltonian(tmp_path):
     assert abs(record["result"]["theorem2_value"]) < 1e-10
     graph = json.loads((tmp_path / "out" / "reeb_graph.json").read_text())
     assert len(graph["nodes"]) == 6
+
+
+def test_reeb_kind_reproducible(tmp_path):
+    mesh = genus2_mesh(6)
+    (tmp_path / "mesh.off").write_text(write_off(mesh))
+    f = random_morse_field(mesh, np.random.default_rng(5))
+    (tmp_path / "morse.csv").write_text(
+        "vertex_id,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(f.values.tolist())))
+    spec = write_json(tmp_path / "spec.json",
+                      {"mesh_file": "mesh.off", "morse_file": "morse.csv",
+                       "normalize": True, "constant": 1.5})
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert cli.main(["reeb", "--spec", str(spec), "--out", str(out1)]) == 0
+    assert cli.main(["reeb", "--spec", str(spec), "--out", str(out2)]) == 0
+    for name in ("reeb_graph.json", "reeb_result.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_python_m_qmlab_help():
+    src_dir = str(Path(qmlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "qmlab", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: qmlab")
+    assert "reeb" in proc.stdout
 
 
 def test_calabi_kind(tmp_path, radial_scenario_file):

@@ -7,11 +7,11 @@ from _oracles import surface_integral_oracle
 from qmlab.errors import (DegenerateSaddleError, InvariantError, ValidationError)
 from qmlab.meshes import (genus2_mesh, genus3_mesh, genus_chain_mesh,
                           height_field, sphere_mesh, torus_mesh)
-from qmlab.reeb import (GraphHamiltonian, MorseField, SurfaceMesh, build_reeb,
-                        classify_vertices, graph_integral, graph_to_json,
-                        prune, prune_step, random_morse_field, read_morse_csv,
-                        read_off, theorem2_value, trivalent_vertices,
-                        write_off)
+from qmlab.reeb import (GraphHamiltonian, MorseField, SurfaceMesh, _lower_arc_groups,
+                        build_reeb, classify_vertices, graph_integral,
+                        graph_to_json, prune, prune_step, random_morse_field,
+                        read_morse_csv, read_off, theorem2_value,
+                        trivalent_vertices, write_off)
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +40,122 @@ def test_mesh_rejects_non_manifold():
         SurfaceMesh(verts[:3], np.array([[0, 1, 2]]))
 
 
+def _tetrahedron(offset=0):
+    a, b, c, d = (offset + i for i in range(4))
+    return [[a, b, c], [a, c, d], [a, d, b], [b, d, c]]
+
+
+def _random_points(n, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, 3))
+
+
+@pytest.mark.parametrize("n_vertices, tris, message", [
+    # triangle 1 is degenerate and also repeats the directed edge (0,1)
+    (3, [[0, 1, 2], [0, 1, 1]], "triangle 1 is degenerate"),
+    # the repeat in triangle 1 comes before the degenerate triangle 2
+    (4, [[0, 1, 2], [0, 1, 3], [2, 2, 3]], r"directed edge \(0,1\) repeated"),
+    # an edge in three triangles repeats one of its directions
+    (5, [[0, 1, 2], [1, 0, 3], [2, 1, 4], [0, 1, 4]], r"directed edge \(0,1\) repeated"),
+    (3, [[0, 1, 2]], r"edge \(0, 1\) lies in 1 triangles"),
+    (8, _tetrahedron() + _tetrahedron(4), "mesh is not connected"),
+    # two tetrahedra sharing vertex 3
+    (7, _tetrahedron() + _tetrahedron(3), "Euler characteristic 3 is odd"),
+    # three tetrahedra in a chain, each sharing one vertex with the next
+    (10, _tetrahedron() + _tetrahedron(3) + _tetrahedron(6), "Euler characteristic 4 exceeds 2"),
+])
+def test_mesh_topology_errors(n_vertices, tris, message):
+    with pytest.raises(ValidationError, match=message):
+        SurfaceMesh(_random_points(n_vertices), np.array(tris), np.ones(len(tris)))
+
+
+def _uv_sphere(rings=5, m=8):
+    """Vertex ids: apex 0, rings of m vertices bottom to top, apex last."""
+    verts = [[0.0, 0.0, -1.0]]
+    for r in range(rings):
+        z = -1.0 + 2.0 * (r + 1) / (rings + 1)
+        verts += [[np.cos(2 * np.pi * j / m), np.sin(2 * np.pi * j / m), z] for j in range(m)]
+    verts.append([0.0, 0.0, 1.0])
+    ring = lambda r, j: 1 + r * m + j % m
+    top = len(verts) - 1
+    tris = [[0, ring(0, j + 1), ring(0, j)] for j in range(m)]
+    for r in range(rings - 1):
+        for j in range(m):
+            tris += [[ring(r, j), ring(r, j + 1), ring(r + 1, j)],
+                     [ring(r, j + 1), ring(r + 1, j + 1), ring(r + 1, j)]]
+    tris += [[top, ring(rings - 1, j), ring(rings - 1, j + 1)] for j in range(m)]
+    return np.array(verts), np.array(tris)
+
+
+def _reference_rings(mesh):
+    """Each link as a cycle from the first triangle's successor (dict walk)."""
+    succ = [dict() for _ in range(mesh.n_vertices)]
+    for a, b, c in mesh.triangles.tolist():
+        succ[a][b], succ[b][c], succ[c][a] = c, a, b
+    rings = []
+    for nxt in succ:
+        ring = [next(iter(nxt))]
+        while nxt[ring[-1]] != ring[0]:
+            ring.append(nxt[ring[-1]])
+        assert len(ring) == len(nxt)
+        rings.append(ring)
+    return rings
+
+
+def test_vertex_rings_match_reference_walk():
+    for mesh in (sphere_mesh(5), torus_mesh(), genus_chain_mesh(3, 8),
+                 SurfaceMesh(*_uv_sphere())):
+        assert mesh.vertex_rings() == _reference_rings(mesh)
+
+
+def test_pinched_vertex_link_rejected():
+    # identifying two far-apart vertex pairs of a sphere passes the Euler
+    # check (chi = 0) but leaves the merged vertices with two-cycle links
+    verts, tris = _uv_sphere()
+    tris = np.where(tris == 35, 3, np.where(tris == 39, 7, tris))
+    tris = np.where(tris > 39, tris - 2, np.where(tris > 35, tris - 1, tris))
+    verts = np.delete(verts, [35, 39], axis=0)
+    mesh = SurfaceMesh(verts, tris)
+    assert mesh.genus == 1
+    with pytest.raises(ValidationError, match="link of vertex 3 is not a single cycle"):
+        mesh.vertex_rings()
+    with pytest.raises(ValidationError, match="link of vertex 3"):
+        classify_vertices(mesh, height_field(mesh))
+
+
+def test_mesh_arrays_are_read_only_copies():
+    verts, tris = _uv_sphere()
+    mesh = SurfaceMesh(verts, tris)
+    verts[0, 0] = 5.0
+    tris[0, 0] = 1
+    assert mesh.vertices[0, 0] == 0.0 and mesh.triangles[0, 0] == 0
+    for arr in (mesh.vertices, mesh.triangles):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2
+
+
 def test_mesh_normalization():
     mesh = genus2_mesh().normalized()
     assert mesh.total_area == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(ValidationError):
         torus_mesh().normalized()  # 2g-2 = 0 is not a valid target
+
+
+def test_normalized_keeps_topology():
+    mesh = genus3_mesh(6)
+    rings = mesh.vertex_rings()
+    scaled = mesh.normalized(7.5)
+    assert scaled.total_area == pytest.approx(7.5, rel=1e-12)
+    assert scaled.genus == 3
+    assert scaled.vertex_rings() == rings
+    assert np.array_equal(scaled.vertices, mesh.vertices)
+    assert np.array_equal(scaled.triangles, mesh.triangles)
+    for a, b, _ in mesh.triangles[::7].tolist():
+        assert scaled.edge_triangles(a, b) == mesh.edge_triangles(b, a)
+        assert len(scaled.edge_triangles(a, b)) == 2
+    assert np.array_equal(scaled.area_weights, mesh.area_weights * (7.5 / mesh.total_area))
+    for target in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="must be positive"):
+            mesh.normalized(target)
 
 
 def test_off_roundtrip(tmp_path):
@@ -90,6 +201,64 @@ def test_monkey_saddle_detected():
     with pytest.raises(DegenerateSaddleError) as err:
         classify_vertices(mesh, MorseField(np.array([v[2] for v in verts])))
     assert err.value.vertex == 0
+
+
+def _reference_kinds(mesh, f):
+    """Per-vertex classification by the tie-broken comparison (loop version)."""
+    kinds = []
+    for v, ring in enumerate(_reference_rings(mesh)):
+        lower = _lower_arc_groups(ring, lambda u: f.below(u, v))
+        total_low = sum(len(g) for g in lower)
+        if total_low == 0:
+            kinds.append("min")
+        elif total_low == len(ring):
+            kinds.append("max")
+        elif len(lower) in (1, 2):
+            kinds.append(("regular", "saddle")[len(lower) - 1])
+        else:
+            raise DegenerateSaddleError(v)
+    return kinds
+
+
+def _outcome(classify, mesh, f):
+    try:
+        return classify(mesh, f)
+    except DegenerateSaddleError as err:
+        return ("degenerate", err.vertex)
+
+
+def test_classification_matches_reference():
+    mesh = genus_chain_mesh(3, 8)
+    rng = np.random.default_rng(21)
+    fields = [height_field(mesh)]
+    fields += [random_morse_field(mesh, rng) for _ in range(4)]
+    fields += [MorseField(rng.standard_normal(mesh.n_vertices)) for _ in range(4)]
+    for levels in (2, 3, 5):
+        # few distinct values: ties everywhere, broken by vertex id
+        q = rng.integers(-levels, levels + 1, mesh.n_vertices) / levels
+        fields.append(MorseField(q))
+        # zeros of both signs tie with each other
+        fields.append(MorseField(np.where(q == 0.0, np.copysign(0.0, rng.standard_normal(q.size)), q)))
+    outcomes = []
+    for f in fields:
+        expected = _outcome(_reference_kinds, mesh, f)
+        assert _outcome(classify_vertices, mesh, f) == expected
+        outcomes.append(expected[0] == "degenerate")
+    assert any(outcomes) and not all(outcomes)  # both paths were exercised
+
+
+def test_lowest_monkey_saddle_reported():
+    # two cones over one hexagon with alternating heights: both apexes are
+    # monkey saddles; the one swept first (id 7) is not the lowest id
+    verts = [[np.cos(np.pi * j / 3), np.sin(np.pi * j / 3), (-1.0) ** j] for j in range(6)]
+    verts += [[0.0, 0.0, 0.5], [0.0, 0.0, 0.2]]
+    tris = [[6, j, (j + 1) % 6] for j in range(6)] + [[7, (j + 1) % 6, j] for j in range(6)]
+    mesh = SurfaceMesh(np.array(verts), np.array(tris))
+    f = height_field(mesh)
+    for classify in (classify_vertices, _reference_kinds):
+        with pytest.raises(DegenerateSaddleError) as err:
+            classify(mesh, f)
+        assert err.value.vertex == 6
 
 
 # ---------------------------------------------------------------- build_reeb
@@ -375,6 +544,15 @@ def test_from_sampling_requires_sampled_graph(g2):
 
 
 # ---------------------------------------------------------------- json
+
+def test_incident_edges_match_scan(g2):
+    _, graph = g2
+    for g in (graph, prune(graph)):
+        for nid in list(g.nodes) + [max(g.nodes) + 1]:
+            scan = [e for e in g.edges.values() if nid in (e.lo, e.hi)]
+            assert g.incident_edges(nid) == scan
+            assert g.degree(nid) == len(scan) == g.degrees().get(nid, 0)
+
 
 def test_graph_json_shape(g2):
     _, graph = g2
