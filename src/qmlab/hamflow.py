@@ -946,11 +946,10 @@ def integrate_flow(sc: HamiltonianScenario, x0, t: float):
     if whole:
         pts = engine.evolve(pts, periods=whole)
     if frac > 1e-12:
-        sub = replace(sc, dt=frac / max(1, round(frac / sc.dt)))
-        sub_engine = FlowMap(sub)
-        sub_engine.h = frac / max(1, round(frac / sc.dt))
-        sub_engine.steps_per_period = max(1, round(frac / sc.dt))
-        pts = sub_engine.evolve(pts, periods=1)
+        # the fractional leg runs as one period of length frac, in about frac / dt steps
+        engine.steps_per_period = max(1, round(frac / sc.dt))
+        engine.h = frac / engine.steps_per_period
+        pts = engine.evolve(pts, periods=1)
     return pts[0]
 
 

@@ -7,6 +7,11 @@ so equal values never create degenerate combinatorics.  The Reeb graph is
 built by a single sweep over that order, maintaining the connected
 components of the level curve as sets of crossed mesh edges; components
 join or divide only at PL-critical vertices, which become graph nodes.
+Each live component is also the Reeb edge it traces.  A regular vertex
+moves its component past itself in place; every critical vertex, whether
+a minimum, a maximum, a merge or a split, closes the components on its
+lower arcs at one node and opens one component per part of the level just
+above it.
 
 Each graph edge carries the pushforward of the area measure as an exact
 piecewise-linear density in the field parameter: a triangle crossed by the
@@ -440,8 +445,9 @@ class ReebEdge:
     source_edges: tuple = ()
     h_breakpoints: tuple | None = None
 
-    @property
+    @cached_property
     def measure(self) -> float:
+        """Total area on the edge, computed on first access."""
         cs = np.array([c for c, _ in self.breakpoints])
         ds = np.array([d for _, d in self.breakpoints])
         return float(np.trapezoid(ds, cs)) if cs.size > 1 else 0.0
@@ -507,23 +513,59 @@ def _tri_coeffs(lams: np.ndarray, area: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _Comp:
-    """A live level-curve component during the sweep."""
+    """A live level component and the Reeb edge it traces.
 
-    __slots__ = ("edges", "a", "b", "redge")
+    ``edges`` is the set of mesh edges the level curve crosses and
+    ``a + b*c`` the density of its crossed triangles.  The Reeb edge opens
+    at node ``lo`` and collects the density (and, under field sampling, the
+    h-value) at every level the sweep records until it closes at ``hi``.
+    """
 
-    def __init__(self, edges: set, a: float, b: float, redge: int):
+    __slots__ = ("id", "edges", "a", "b", "lo", "f_lo", "hi", "f_hi", "source_edges",
+                 "bps", "h_bps")
+
+    def __init__(self, cid: int, edges: set, a: float, b: float, lo: int, f_lo: float,
+                 source_edges: tuple):
+        self.id = cid
         self.edges = edges
         self.a = a
         self.b = b
-        self.redge = redge
+        self.lo = lo
+        self.f_lo = f_lo
+        self.hi = self.f_hi = None
+        self.source_edges = source_edges
+        self.bps = [(f_lo, self.density_at(f_lo))]
+        self.h_bps = []
 
     def density_at(self, c: float) -> float:
         return self.a + self.b * c
+
+    def close(self, node: int, c: float) -> set:
+        """End the Reeb edge at ``node`` and hand over the crossed edges."""
+        self.hi, self.f_hi = node, c
+        edges, self.edges = self.edges, None
+        return edges
+
+    def reeb_edge(self, node_h: dict[int, float] | None) -> ReebEdge:
+        """The closed edge; ``node_h`` holds the sampled field at every node."""
+        h_bps = None
+        if node_h is not None:
+            h_bps = _collapse_breakpoints([(self.f_lo, node_h[self.lo]), *self.h_bps,
+                                           (self.f_hi, node_h[self.hi])])
+        return ReebEdge(id=self.id, lo=self.lo, hi=self.hi, f_lo=self.f_lo, f_hi=self.f_hi,
+                        breakpoints=_dedupe_breakpoints(self.bps),
+                        source_edges=self.source_edges, h_breakpoints=h_bps)
 
 
 def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
                field_tol: float = LEVEL_CONSTANCY_TOL) -> ReebGraph:
     """Reeb graph of a PL Morse field by a sorted sweep over vertex levels.
+
+    A regular vertex moves its level component past itself in place.  Every
+    critical vertex takes one path: it closes the components on its lower
+    arcs (none at a minimum, one at a maximum or split, two at a merge) at
+    one new node, and opens one component per part of the level just above
+    it (none at a maximum, two at a split).
 
     ``sample_field(point) -> float``, when given, is sampled along every
     recorded level component; the samples must be constant on components
@@ -586,44 +628,38 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
             t1, t2 = edge_tris[e]
             ti = t2 if t1 == ti else t1
 
-    comps: dict[int, _Comp] = {}
-    edge_comp: dict[tuple[int, int], int] = {}
-    next_comp = 0
+    def split_parts(pool: set, k: int, v: int) -> list[tuple[set, float, float]]:
+        """The two circles of a split level, each with its triangles' coefficients."""
+        cycles = []
+        remaining = set(pool)
+        while remaining:
+            cycle = level_cycle(next(iter(remaining)), k)
+            remaining -= cycle
+            cycles.append(cycle)
+        if len(cycles) != 2:
+            raise InvariantError(
+                f"saddle at vertex {v} produced {len(cycles)} components; expected 2 on an orientable surface")
+        # each part lists its edges in pool order
+        parts = ({e for e in pool if e in cycles[0]}, {e for e in pool if e not in cycles[0]})
+        out = []
+        for part in sorted(parts, key=min):
+            # both triangles on a crossed edge are crossed
+            tset = set()
+            for e in part:
+                tset.update(edge_tris[e])
+            a = b = 0.0
+            for ti in tset:
+                ca, cb = regime1 if k < mid_rank[ti] else regime2
+                a += ca[ti]
+                b += cb[ti]
+            out.append((part, a, b))
+        return out
+
+    comps: list[_Comp] = []  # every component opened, in id order
+    edge_comp: dict[tuple[int, int], _Comp] = {}
     nodes: dict[int, ReebNode] = {}
-    next_node = 0
-    redges: dict[int, dict] = {}
-    next_redge = 0
 
-    def new_comp(edges: set, a: float, b: float, redge: int) -> int:
-        nonlocal next_comp
-        cid = next_comp
-        next_comp += 1
-        comps[cid] = _Comp(edges, a, b, redge)
-        for e in edges:
-            edge_comp[e] = cid
-        return cid
-
-    def new_node(v: int, kind: str) -> int:
-        nonlocal next_node
-        nid = next_node
-        next_node += 1
-        nodes[nid] = ReebNode(id=nid, f=vals[v], kind=kind, vertex=v)
-        return nid
-
-    def open_redge(lo_node: int, c: float, density: float, src: tuple) -> int:
-        nonlocal next_redge
-        rid = next_redge
-        next_redge += 1
-        redges[rid] = {"lo": lo_node, "hi": None, "f_lo": c, "f_hi": None,
-                       "bps": [(c, density)], "src": src, "h_bps": []}
-        return rid
-
-    def record_bp(comp: _Comp, c: float):
-        redges[comp.redge]["bps"].append((c, comp.density_at(c)))
-        if sample_field is not None:
-            _sample_level(comp, c)
-
-    def _sample_level(comp: _Comp, c: float):
+    def sample_level(comp: _Comp, c: float):
         samples = []
         for (u, w) in comp.edges:
             fu, fw = vals[u], vals[w]
@@ -639,49 +675,24 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
         if spread > field_tol:
             raise ValidationError(
                 f"sampled field varies by {spread:.3e} on a level component: it does not commute with f")
-        redges[comp.redge]["h_bps"].append((c, float(np.mean(samples))))
+        comp.h_bps.append((c, float(np.mean(samples))))
 
-    def close_redge(comp: _Comp, node: int, c: float):
-        record_bp(comp, c)
-        redges[comp.redge]["hi"] = node
-        redges[comp.redge]["f_hi"] = c
+    def record_level(comp: _Comp, c: float):
+        comp.bps.append((c, comp.density_at(c)))
+        if sample_field is not None:
+            sample_level(comp, c)
 
     for k, v in enumerate(order):
         lam = vals[v]
-        kind = kinds[v]
         lo_v, hi_v = bounds[v], bounds[v + 1]
         ring = ring_flat[lo_v:hi_v]
         down_edges = [ek(u, v) for u in ring if pos[u] < k]
         up_edges = [ek(u, v) for u in ring if pos[u] > k]
         deltas = list(zip(star_da[lo_v:hi_v], star_db[lo_v:hi_v]))
 
-        if kind == KIND_MIN:
-            node = new_node(v, KIND_MIN)
-            a = b = 0.0
-            for da_t, db_t in deltas:
-                a += da_t
-                b += db_t
-            rid = open_redge(node, lam, a + b * lam, tuple(sorted(up_edges)))
-            cid = new_comp(set(up_edges), a, b, rid)
-            if sample_field is not None:
-                nodes[node] = ReebNode(id=node, f=lam, kind=KIND_MIN, vertex=v)
-                _sample_level(comps[cid], lam)
-
-        elif kind == KIND_MAX:
-            cid = edge_comp[down_edges[0]]
-            comp = comps[cid]
-            if comp.edges != set(down_edges):
-                raise InvariantError("component at a maximum is larger than the vertex star")
-            node = new_node(v, KIND_MAX)
-            close_redge(comp, node, lam)
-            for e in down_edges:
-                edge_comp.pop(e, None)
-            del comps[cid]
-
-        elif kind == KIND_REGULAR:
-            cid = edge_comp[down_edges[0]]
-            comp = comps[cid]
-            record_bp(comp, lam)
+        if kinds[v] == KIND_REGULAR:
+            comp = edge_comp[down_edges[0]]
+            record_level(comp, lam)
             for da_t, db_t in deltas:
                 comp.a += da_t
                 comp.b += db_t
@@ -690,75 +701,61 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
                 edge_comp.pop(e, None)
             for e in up_edges:
                 comp.edges.add(e)
-                edge_comp[e] = cid
-            record_bp(comp, lam)
+                edge_comp[e] = comp
+            record_level(comp, lam)
+            continue
 
-        else:  # saddle
-            groups = _lower_arc_groups(ring, lambda u: pos[u] < k)
-            if len(groups) != 2:
-                raise DegenerateSaddleError(v)
-            c1 = edge_comp[ek(groups[0][0], v)]
-            c2 = edge_comp[ek(groups[1][0], v)]
-            node = new_node(v, KIND_SADDLE)
-            if c1 != c2:
-                # two circles merge into one
-                close_redge(comps[c1], node, lam)
-                close_redge(comps[c2], node, lam)
-                merged = (comps[c1].edges | comps[c2].edges)
-                a = comps[c1].a + comps[c2].a
-                b = comps[c1].b + comps[c2].b
-                for da_t, db_t in deltas:
-                    a += da_t
-                    b += db_t
-                for e in down_edges:
-                    merged.discard(e)
-                    edge_comp.pop(e, None)
-                merged.update(up_edges)
-                del comps[c1], comps[c2]
-                rid = open_redge(node, lam, a + b * lam, tuple(sorted(up_edges)))
-                cid = new_comp(merged, a, b, rid)
-                if sample_field is not None:
-                    _sample_level(comps[cid], lam)
-            else:
-                # one circle splits into two
-                comp = comps[c1]
-                close_redge(comp, node, lam)
-                pool = set(comp.edges)
-                for e in down_edges:
-                    pool.discard(e)
-                pool.update(up_edges)
-                cycles = []
-                remaining = set(pool)
-                while remaining:
-                    cycle = level_cycle(next(iter(remaining)), k)
-                    remaining -= cycle
-                    cycles.append(cycle)
-                if len(cycles) != 2:
-                    raise InvariantError(
-                        f"saddle at vertex {v} produced {len(cycles)} components; expected 2 on an orientable surface")
-                # each part lists its edges in pool order
-                parts = ({e for e in pool if e in cycles[0]}, {e for e in pool if e not in cycles[0]})
-                parts = sorted(parts, key=min)
-                for e in down_edges:
-                    edge_comp.pop(e, None)
-                del comps[c1]
-                for part in parts:
-                    # both triangles on a crossed edge are crossed
-                    tset = set()
-                    for e in part:
-                        tset.update(edge_tris[e])
-                    a = b = 0.0
-                    for ti in tset:
-                        ca, cb = regime1 if k < mid_rank[ti] else regime2
-                        a += ca[ti]
-                        b += cb[ti]
-                    rid = open_redge(node, lam, a + b * lam,
-                                     tuple(sorted(e for e in part if v in e)))
-                    cid = new_comp(part, a, b, rid)
-                    if sample_field is not None:
-                        _sample_level(comps[cid], lam)
+        # close the components on the lower arcs at one node
+        groups = _lower_arc_groups(ring, lambda u: pos[u] < k)
+        if len(groups) > 2:
+            raise DegenerateSaddleError(v)
+        closing: list[_Comp] = []
+        for group in groups:
+            comp = edge_comp[ek(group[0], v)]
+            if comp not in closing:
+                closing.append(comp)
+        node = len(nodes)
+        nodes[node] = ReebNode(id=node, f=lam, kind=kinds[v], vertex=v)
+        below = []
+        for comp in closing:
+            record_level(comp, lam)
+            below.append(comp.close(node, lam))
 
-    if comps:
+        # the crossed edges just above the vertex
+        pool = set(below[0]) if below else set()
+        pool.update(*below[1:])
+        n_below = len(pool)
+        pool.difference_update(down_edges)
+        if len(pool) != n_below - len(down_edges):
+            raise InvariantError(f"a down edge of vertex {v} is on no level component below it")
+        if pool and not up_edges:
+            raise InvariantError("component at a maximum is larger than the vertex star")
+        pool.update(up_edges)
+        for e in down_edges:
+            edge_comp.pop(e, None)
+
+        # open one component per part: two when both lower arcs were on one circle
+        if len(closing) < len(groups):
+            parts = split_parts(pool, k, v)
+        elif pool:
+            # a min starts from 0.0, a merge from its first component: signed zeros differ
+            a, b = (closing[0].a, closing[0].b) if closing else (0.0, 0.0)
+            for da_t, db_t in [(c.a, c.b) for c in closing[1:]] + deltas:
+                a += da_t
+                b += db_t
+            parts = [(pool, a, b)]
+        else:
+            parts = []
+        for part, a, b in parts:
+            comp = _Comp(len(comps), part, a, b, node, lam,
+                         tuple(sorted(e for e in up_edges if e in part)))
+            comps.append(comp)
+            for e in part:
+                edge_comp[e] = comp
+            if sample_field is not None:
+                sample_level(comp, lam)
+
+    if any(comp.hi is None for comp in comps):
         raise InvariantError("sweep finished with open level components")
 
     node_h = None
@@ -766,20 +763,7 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
         node_h = {nid: float(sample_field(verts[node.vertex]))
                   for nid, node in nodes.items()}
 
-    edges: dict[int, ReebEdge] = {}
-    for rid, rec in redges.items():
-        bps = _dedupe_breakpoints(rec["bps"])
-        h_bps = None
-        if sample_field is not None:
-            raw = list(rec["h_bps"])
-            raw.insert(0, (rec["f_lo"], node_h[rec["lo"]]))
-            raw.append((rec["f_hi"], node_h[rec["hi"]]))
-            h_bps = _collapse_breakpoints(raw)
-        edges[rid] = ReebEdge(id=rid, lo=rec["lo"], hi=rec["hi"],
-                              f_lo=rec["f_lo"], f_hi=rec["f_hi"],
-                              breakpoints=bps, source_edges=rec["src"],
-                              h_breakpoints=h_bps)
-
+    edges = {comp.id: comp.reeb_edge(node_h) for comp in comps}
     graph = ReebGraph(nodes=nodes, edges=edges, genus=mesh.genus)
     if graph.euler_deficiency() != 2 - 2 * mesh.genus:
         raise InvariantError(
@@ -970,20 +954,25 @@ def _integrate_density_product(bps, hcs, hhs) -> float:
 
     Walks the density segments (repeated parameters encode jumps and span
     zero width), splitting each at h's breakpoints; on every piece both
-    factors are linear, so Simpson is exact.
+    factors are linear, so Simpson is exact.  h is interpolated at all cut
+    points of the edge in one call.
     """
-    total = 0.0
-    for (c0, d0), (c1, d1) in zip(bps, bps[1:]):
-        if c1 <= c0:
-            continue
-        cuts = [c0] + [c for c in hcs if c0 < c < c1] + [c1]
-        for a, b in zip(cuts, cuts[1:]):
+    segments = [(c0, d0, c1, d1) for (c0, d0), (c1, d1) in zip(bps, bps[1:]) if c1 > c0]
+    first = np.searchsorted(hcs, [s[0] for s in segments], side="right").tolist()
+    last = np.searchsorted(hcs, [s[2] for s in segments], side="left").tolist()
+    # the h breakpoints strictly inside each segment, as in ``c0 < c < c1``
+    cuts = [[c0, *hcs[i:j], c1] for (c0, _, c1, _), i, j in zip(segments, first, last)]
+    h_at = np.interp([c for seg in cuts for c in seg], hcs, hhs).tolist()
+    total, at = 0.0, 0
+    for (c0, d0, c1, d1), seg in zip(segments, cuts):
+        for a, b in zip(seg, seg[1:]):
             da = d0 + (d1 - d0) * (a - c0) / (c1 - c0)
             db = d0 + (d1 - d0) * (b - c0) / (c1 - c0)
-            ha = float(np.interp(a, hcs, hhs))
-            hb = float(np.interp(b, hcs, hhs))
+            ha, hb = h_at[at], h_at[at + 1]
+            at += 1
             mid = 0.25 * (da + db) * (ha + hb)
             total += (b - a) / 6.0 * (da * ha + 4.0 * mid + db * hb)
+        at += 1
     return total
 
 

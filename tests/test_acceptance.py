@@ -208,6 +208,7 @@ def test_07_calabi_oracles():
                f"{time.time()-t0:.1f}s)")
 
 
+@pytest.mark.slow
 def test_08_tau_radial_twist():
     t0 = time.time()
     sc = radial_twist_scenario()
@@ -221,6 +222,7 @@ def test_08_tau_radial_twist():
            f"{time.time()-t0:.0f}s)")
 
 
+@pytest.mark.slow
 def test_09_theorem1_disk_case():
     t0 = time.time()
     ok = True
@@ -308,6 +310,7 @@ def test_10_paper_stated_bounds():
            f"(holonomy err={gb_err:.1e}, {time.time()-t0:.0f}s)")
 
 
+@pytest.mark.slow
 def test_11_gambaudo_ghys_vanishing():
     t0 = time.time()
     form = HyperbolicForm()
@@ -331,6 +334,7 @@ def test_11_gambaudo_ghys_vanishing():
                f"<= {bound:.3f}, {time.time()-t0:.0f}s)")
 
 
+@pytest.mark.slow
 def test_12_theorem3_restriction():
     t0 = time.time()
     sc = radial_twist_scenario()

@@ -65,6 +65,16 @@ def test_energy_conservation_autonomous():
             assert abs(ht - h0) < 1e-8
 
 
+def test_fractional_leg_at_largest_dt():
+    # a leg of 0.3 at dt = 0.25 takes one step of 0.3 > dt: it must not
+    # re-validate the scenario with that step as its dt
+    sc = radial_scenario(0.8, dt=0.25)
+    x = np.array([0.5, 0.2])
+    for t in (0.3, 1.3):
+        y = integrate_flow(sc, x, t)
+        assert abs(y @ y - x @ x) < 1e-12
+
+
 def test_inverse_flow_roundtrip():
     fwd = radial_scenario(0.6, dt=0.002)
     bwd = radial_scenario(-0.6, dt=0.002)
@@ -264,6 +274,7 @@ def test_birkhoff_constant_and_fixed_point():
     assert fixed.value == pytest.approx(0.0, abs=1e-20)
 
 
+@pytest.mark.slow
 def test_birkhoff_equidistribution_on_irrational_circle():
     sc = radial_scenario(0.8, dt=0.005)
     x0 = np.array([0.5, 0.0])

@@ -360,6 +360,7 @@ def test_gg_u_identity_map_is_zero():
     assert gg_u(eta, zero_iso(), (0.2, 0.1), p=4) == 0.0
 
 
+@pytest.mark.slow
 def test_gg_u_boundedness_uniform_in_p():
     iso = radial_iso(amplitude=1.3, dt=0.004)
     eta = OneForm(a_monomials=((0, 0, 0.8), (1, 1, -0.4)),

@@ -7,8 +7,8 @@ from _oracles import surface_integral_oracle
 from qmlab.errors import (DegenerateSaddleError, InvariantError, ValidationError)
 from qmlab.meshes import (genus2_mesh, genus3_mesh, genus_chain_mesh,
                           height_field, sphere_mesh, torus_mesh)
-from qmlab.reeb import (GraphHamiltonian, MorseField, SurfaceMesh, _lower_arc_groups,
-                        build_reeb, classify_vertices, graph_integral,
+from qmlab.reeb import (GraphHamiltonian, MorseField, SurfaceMesh, _integrate_density_product,
+                        _lower_arc_groups, build_reeb, classify_vertices, graph_integral,
                         graph_to_json, prune, prune_step, random_morse_field,
                         read_morse_csv, read_off, theorem2_value,
                         trivalent_vertices, write_off)
@@ -304,6 +304,27 @@ def test_edge_intervals_oriented(g2):
         assert e.measure > 0
 
 
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_source_edges_partition_upper_stars(seed):
+    mesh = genus_chain_mesh(3, 8)
+    f = (height_field(mesh) if seed is None
+         else random_morse_field(mesh, np.random.default_rng(seed)))
+    graph = build_reeb(mesh, f)
+    rings = mesh.vertex_rings()
+    for nid, node in graph.nodes.items():
+        v = node.vertex
+        out = [e for e in graph.edges.values() if e.lo == nid]
+        n_in = sum(e.hi == nid for e in graph.edges.values())
+        expected = {"min": [(0, 1)], "max": [(1, 0)], "saddle": [(2, 1), (1, 2)]}[node.kind]
+        assert (n_in, len(out)) in expected
+        upper = {(min(u, v), max(u, v)) for u in rings[v] if f.below(v, u)}
+        sources = [s for e in out for s in e.source_edges]
+        assert len(sources) == len(set(sources)) and set(sources) == upper
+        for e in out:
+            assert e.source_edges and all(v in s for s in e.source_edges)
+            assert list(e.source_edges) == sorted(e.source_edges)
+
+
 def test_edge_measures_match_slab_areas(g2):
     mesh, graph = g2
     # the two pendant edges are the caps plus trunk below/above the first saddle
@@ -429,6 +450,36 @@ def test_graph_integral_random_fields_match_oracle():
             for eid, e in graph.edges.items()})
         oracle = surface_integral_oracle(mesh, f.values, cs, hs)
         assert graph_integral(graph, h) == pytest.approx(oracle, abs=1e-9)
+
+
+def _scalar_density_product(bps, hcs, hhs):
+    """Reference: the per-scalar ``np.interp`` loop of the batched integrator."""
+    total = 0.0
+    for (c0, d0), (c1, d1) in zip(bps, bps[1:]):
+        if c1 <= c0:
+            continue
+        cuts = [c0] + [c for c in hcs if c0 < c < c1] + [c1]
+        for a, b in zip(cuts, cuts[1:]):
+            da = d0 + (d1 - d0) * (a - c0) / (c1 - c0)
+            db = d0 + (d1 - d0) * (b - c0) / (c1 - c0)
+            ha = float(np.interp(a, hcs, hhs))
+            hb = float(np.interp(b, hcs, hhs))
+            mid = 0.25 * (da + db) * (ha + hb)
+            total += (b - a) / 6.0 * (da * ha + 4.0 * mid + db * hb)
+    return total
+
+
+@pytest.mark.parametrize("n_cuts", [2, 3, 9])
+def test_density_product_matches_scalar_reference(n_cuts):
+    # the height field has tied levels, so its densities jump
+    mesh = genus_chain_mesh(3, 8)
+    for f in (height_field(mesh), random_morse_field(mesh, np.random.default_rng(5))):
+        graph = build_reeb(mesh, f)
+        for e in graph.edges.values():
+            hcs = np.linspace(e.f_lo, e.f_hi, n_cuts)
+            hhs = np.sin(3.0 * hcs) + hcs ** 2
+            got = _integrate_density_product(e.breakpoints, hcs, hhs)
+            assert repr(got) == repr(_scalar_density_product(e.breakpoints, hcs, hhs))
 
 
 def test_pendant_edge_measure_recovered(g2):
