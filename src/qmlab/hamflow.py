@@ -18,6 +18,14 @@ returns the gradient and, for order 2, the Hessian from one pass over the
 points; ``grad`` and ``hess`` are views of the jet.  Each Newton iterate
 of the midpoint step evaluates one jet, which gives the velocity and the
 linearization together.
+
+A kind may also override ``frozen(pts)``, a conservative mask of the rows
+where the gradient and the Hessian are exactly zero at every t (the
+default flags |z| >= support_radius).  ``FlowMap.evolve`` computes the
+mask once and integrates only the other rows: a flagged row must give an
+exactly zero jet, so that skipping it changes no output bit.  A kind
+whose evaluation of a row depends on the rest of the batch must flag
+nothing.
 """
 
 from __future__ import annotations
@@ -241,6 +249,10 @@ class HamiltonianField(ABC):
     def hess(self, pts: np.ndarray, t: float) -> np.ndarray:
         return self.jet(pts, t, 2)[1]
 
+    def frozen(self, pts: np.ndarray) -> np.ndarray:
+        """Rows where the gradient and Hessian are exactly zero at every t (conservative)."""
+        return _sq_norms(pts) >= self.support_radius ** 2
+
     @abstractmethod
     def space_integral(self, form: SymplecticForm, t: float) -> float:
         """Integral of H(., t) against the form over the support."""
@@ -259,6 +271,7 @@ class SeparableField(HamiltonianField):
     def __init__(self, time: TimeProfile | None = None):
         self.time = time if time is not None else TimeProfile()
         self._spatial_cache: dict[str, float] = {}
+        self._last_time_factor = (None, None, 0.0)  # (profile, t, a(t))
 
     @abstractmethod
     def spatial_value(self, pts): ...
@@ -267,11 +280,19 @@ class SeparableField(HamiltonianField):
     def spatial_jet(self, pts, order: int = 1):
         """(grad, hess) of the spatial factor; hess is None for order 1."""
 
+    def _time_factor(self, t) -> float:
+        """a(t), kept for the last t asked: every jet and hook of one step share t_mid."""
+        time, last_t, amp = self._last_time_factor
+        if time is not self.time or last_t != t:
+            amp = float(self.time(t))
+            self._last_time_factor = (self.time, t, amp)
+        return amp
+
     def value(self, pts, t):
-        return float(self.time(t)) * self.spatial_value(pts)
+        return self._time_factor(t) * self.spatial_value(pts)
 
     def jet(self, pts, t, order=1):
-        amp = float(self.time(t))
+        amp = self._time_factor(t)
         g, hs = self.spatial_jet(pts, order)
         return amp * g, None if hs is None else amp * hs
 
@@ -286,7 +307,7 @@ class SeparableField(HamiltonianField):
             pts, w = _ball_nodes(form, 2, QuadratureRule(n_r=160, n_angle=128),
                                  self.support_radius)
             self._spatial_cache[key] = float(np.sum(w * self.spatial_value(pts)))
-        return float(self.time(t)) * self._spatial_cache[key]
+        return self._time_factor(t) * self._spatial_cache[key]
 
 
 def _horner(coef: tuple, x):
@@ -385,6 +406,9 @@ class BumpField(SeparableField):
     def spatial_value(self, pts):
         q, _ = self._q(pts)
         return self.amplitude * _bump(q, 0)[0]
+
+    def frozen(self, pts):
+        return self._q(pts)[0] >= 1.0
 
     def spatial_jet(self, pts, order=1):
         q, d = self._q(pts)
@@ -559,6 +583,9 @@ class SumField(HamiltonianField):
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
 
+    def frozen(self, pts):
+        return np.logical_and.reduce([p.frozen(pts) for p in self.parts])
+
     def space_integral(self, form, t):
         return sum(p.space_integral(form, t) for p in self.parts)
 
@@ -597,6 +624,9 @@ class ConcatField(HamiltonianField):
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
 
+    def frozen(self, pts):
+        return self.first.frozen(pts) & self.second.frozen(pts)
+
     def space_integral(self, form, t):
         f, s = self._piece(t)
         return 2.0 * f.space_integral(form, s)
@@ -627,6 +657,12 @@ class ConjugatedField(HamiltonianField):
 
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
+
+    def frozen(self, pts):
+        # The products with g^{-1} go through BLAS, whose result for a row
+        # depends on the batch (one row takes another kernel), so a flow
+        # over the unflagged rows alone could move them: flag nothing.
+        return np.zeros(pts.shape[0], dtype=bool)
 
     def space_integral(self, form, t):
         if form.kind != "standard":
@@ -818,9 +854,10 @@ def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         c, d = mats[..., 1, 0], mats[..., 1, 1]
         det = a * d - b * c
         if rhs.ndim == mats.ndim - 1:
-            x = (d * rhs[..., 0] - b * rhs[..., 1]) / det
-            y = (-c * rhs[..., 0] + a * rhs[..., 1]) / det
-            return np.stack([x, y], axis=-1)
+            out = np.empty_like(rhs)
+            out[..., 0] = (d * rhs[..., 0] - b * rhs[..., 1]) / det
+            out[..., 1] = (-c * rhs[..., 0] + a * rhs[..., 1]) / det
+            return out
         inv = np.empty_like(mats)
         inv[..., 0, 0] = d
         inv[..., 0, 1] = -b
@@ -836,15 +873,18 @@ class FlowMap:
     """Implicit-midpoint evolution of a scenario, vectorized over points.
 
     Holds the scenario and per-run integrator diagnostics; evaluation maps
-    a batch of points forward through any number of unit periods (the
-    Hamiltonian is 1-periodic in time by convention).
+    a batch of points forward through any number of periods (the
+    Hamiltonian is 1-periodic in time by convention).  A period runs over
+    t in [0, span), in about span / dt equal steps; ``span`` below 1 is a
+    fractional leg of the flow.
     """
 
-    def __init__(self, sc: HamiltonianScenario):
+    def __init__(self, sc: HamiltonianScenario, span: float = 1.0):
         self.sc = sc
-        self.steps_per_period = max(1, round(1.0 / sc.dt))
-        self.h = 1.0 / self.steps_per_period
+        self.steps_per_period = max(1, round(span / sc.dt))
+        self.h = span / self.steps_per_period
         self._j = standard_j(sc.dim // 2)
+        self._eye = np.eye(sc.dim)
         self.max_newton_iters = 0
         self._standard = sc.form.kind == "standard"
         # the converged midpoint state of the last accepted step, for hooks
@@ -878,29 +918,24 @@ class FlowMap:
     def vector_field(self, pts, t):
         return self._field_jet(pts, t, 1)[0]
 
-    def _step(self, pts, t0):
-        """One midpoint step: the new points and DX_H at the converged midpoint.
+    def _step(self, pts, t_mid, tol):
+        """One midpoint step of ``pts``: new points, midpoint velocity and DX_H there.
 
         Every Newton iterate evaluates the velocity and its linearization
         together; the converged iterate's linearization is the one the
-        Cayley tangent step needs.
+        Cayley tangent step needs.  Newton stops once the largest residual
+        is below ``tol``.
         """
         h = self.h
-        t_mid = t0 + 0.5 * h
         w = pts + h * self.vector_field(pts, t_mid)
-        eye = np.eye(self.sc.dim)
         for it in range(NEWTON_MAX_ITER):
             vel, a_mid = self._field_jet(0.5 * (pts + w), t_mid, 2)
             resid = w - pts - h * vel
-            err = np.max(np.abs(resid))
-            if err < NEWTON_TOL * (1.0 + np.max(np.abs(pts))):
+            if np.abs(resid).max() < tol:
                 self.max_newton_iters = max(self.max_newton_iters, it)
-                break
-            w = w - _solve_batch(eye - (0.5 * h) * a_mid, resid)
-        else:
-            raise IntegrationError(-1, "Newton iteration for the midpoint step did not converge")
-        self.last_mid_velocity = vel
-        return w, a_mid
+                return w, vel, a_mid
+            w = w - _solve_batch(self._eye - (0.5 * h) * a_mid, resid)
+        raise IntegrationError(-1, "Newton iteration for the midpoint step did not converge")
 
     def evolve(self, pts, periods: int = 1, tangent=None, step_hook=None):
         """Advance a batch through whole periods; optionally transport tangents.
@@ -908,26 +943,48 @@ class FlowMap:
         ``step_hook(step_index, t_mid, mid_pts, new_pts, tangent)`` runs
         after every accepted step; hooks may read ``last_mid_velocity`` for
         the converged midpoint velocity of that step.
+
+        Only the rows that the field's ``frozen`` mask leaves are stepped.
+        A frozen row keeps its point (mid = new = start), has velocity 0
+        and an identity Cayley factor; Newton's stop threshold still comes
+        from the whole batch, and a frozen row's residual is exactly 0, so
+        no output depends on the mask.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
         if np.any(np.linalg.norm(pts, axis=1) > self.sc.ball_radius * (1 + 1e-12)):
             raise ValidationError("initial points must lie in the ball")
-        eye = np.eye(self.sc.dim)
+        frozen = self.sc.field.frozen(pts)
+        # a basic slice indexes without copying, so a batch with no frozen row skips the gather
+        live = np.flatnonzero(~frozen) if frozen.any() else slice(None)
+        stepped = not frozen.all()
+        if tangent is not None:
+            # one fresh (n, d, k) stack, so that rows can be gathered and scattered
+            tangent = np.broadcast_to(tangent, (len(pts),) + np.shape(tangent)[-2:]).copy()
+        half = 0.5 * self.h
         total = periods * self.steps_per_period
         for step in range(total):
-            t0 = (step % self.steps_per_period) * self.h
-            try:
-                new, a_mid = self._step(pts, t0)
-            except IntegrationError as exc:
-                raise IntegrationError(step, f"integrator failed at step {step}: {exc}") from exc
-            if tangent is not None:
-                cay = _solve_batch(eye - (0.5 * self.h) * a_mid,
-                                   eye + (0.5 * self.h) * a_mid)
-                tangent = cay @ tangent
+            t_mid = (step % self.steps_per_period) * self.h + half
+            tol = NEWTON_TOL * (1.0 + np.abs(pts).max())
+            new, vel = pts.copy(), np.zeros_like(pts)
+            if stepped:
+                try:
+                    new[live], vel[live], a_mid = self._step(pts[live], t_mid, tol)
+                except IntegrationError as exc:
+                    raise IntegrationError(
+                        step, f"integrator failed at step {step}: {exc}") from exc
+                if tangent is not None:
+                    tangent = tangent.copy()
+                    tangent[live] = self._cayley(a_mid) @ tangent[live]
+            self.last_mid_velocity = vel
             if step_hook is not None:
-                step_hook(step, t0 + 0.5 * self.h, 0.5 * (pts + new), new, tangent)
+                step_hook(step, t_mid, 0.5 * (pts + new), new, tangent)
             pts = new
         return (pts, tangent) if tangent is not None else pts
+
+    def _cayley(self, a_mid):
+        """(I - h/2 A)^{-1} (I + h/2 A): the tangent map of one midpoint step."""
+        half = 0.5 * self.h
+        return _solve_batch(self._eye - half * a_mid, self._eye + half * a_mid)
 
 
 def integrate_flow(sc: HamiltonianScenario, x0, t: float):
@@ -939,17 +996,13 @@ def integrate_flow(sc: HamiltonianScenario, x0, t: float):
         raise ValidationError("t must be nonnegative")
     if t == 0:
         return x0.copy()
-    engine = FlowMap(sc)
     whole = int(np.floor(t + 1e-12))
     frac = t - whole
     pts = np.atleast_2d(x0).copy()
     if whole:
-        pts = engine.evolve(pts, periods=whole)
+        pts = FlowMap(sc).evolve(pts, periods=whole)
     if frac > 1e-12:
-        # the fractional leg runs as one period of length frac, in about frac / dt steps
-        engine.steps_per_period = max(1, round(frac / sc.dt))
-        engine.h = frac / engine.steps_per_period
-        pts = engine.evolve(pts, periods=1)
+        pts = FlowMap(sc, span=frac).evolve(pts, periods=1)
     return pts[0]
 
 

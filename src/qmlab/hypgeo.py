@@ -19,6 +19,7 @@ form is the hyperbolic area over 2 pi, so a genus-g surface has total area
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm,
 
 DISK_EDGE = 1.0 - 1e-12
 LIFT_GUARD = 0.5  # turns; a boundary-lift step at or past this aliases
+# leggauss solves an eigenproblem that costs more than a whole geodesic
+# integral; the cached arrays are shared, so callers must not write to them
+_gauss_legendre = functools.lru_cache(maxsize=None)(leggauss)
 
 
 def _as_complex(z) -> complex:
@@ -166,7 +170,7 @@ class DiskIsotopy:
 
     def mean_constant_integral(self) -> float:
         """Time integral of c over one period."""
-        ts, wt = leggauss(32)
+        ts, wt = _gauss_legendre(32)
         ts = 0.5 * (ts + 1.0)
         return float(sum(0.5 * w * self.mean_zero_constant(float(t)) for t, w in zip(ts, wt)))
 
@@ -391,7 +395,7 @@ def geodesic_line_integral(eta: OneForm, z0: complex, z1: complex,
     w1 = (z1 - z0) / (1.0 - np.conj(z0) * z1)
     if abs(w1) < 1e-15:
         return 0.0
-    ts, ws = leggauss(quad_nodes)
+    ts, ws = _gauss_legendre(quad_nodes)
     ts = 0.5 * (ts + 1.0)
     ws = 0.5 * ws
     tw = ts * w1

@@ -42,12 +42,6 @@ def standard_j(n: int) -> np.ndarray:
     return j
 
 
-def omega_form(u: np.ndarray, v: np.ndarray) -> float:
-    """The symplectic form omega(u, v) = u^T J0^T v."""
-    n = u.shape[0] // 2
-    return float(u @ standard_j(n).T @ v)
-
-
 def check_symplectic(mat: np.ndarray, tol: float = SP_TOL) -> None:
     """Reject matrices that are not symplectic within ``tol`` (Frobenius).
 

@@ -446,6 +446,88 @@ def test_jet_matches_finite_differences(kind):
             assert np.allclose(fd2, hess[:, :, axis], atol=tol_hess)
 
 
+_FROZEN_CASES = {kind: case[0] for kind, case in _JET_CASES.items()}
+# parts whose supports overlap only in part, so that both parts' masks matter
+_FROZEN_CASES["concat"] = ConcatField(BumpField(0.8, [0.4, 0.0], 0.3),
+                                      RadialField([1.0], support_radius=0.5))
+
+
+@pytest.mark.parametrize("kind", list(_FROZEN_CASES))
+def test_frozen_mask_is_exact(kind):
+    f = _FROZEN_CASES[kind]
+    pts = np.random.default_rng(5).uniform(-1.3, 1.3, (2000, f.dim))
+    mask = f.frozen(pts)
+    assert mask.dtype == bool and mask.shape == (2000,) and not mask.all()
+    # the conjugated kind flags nothing (its BLAS products are not batch-invariant)
+    assert mask.any() == (kind != "conjugated")
+    for t in (0.0, 0.3, 0.7):
+        grad, hess = f.jet(pts, t, 2)
+        assert not grad[mask].any() and not hess[mask].any()
+
+
+def _recorded_evolve(sc, pts, tangent):
+    """evolve over two periods, keeping every hook argument and midpoint velocity."""
+    engine = FlowMap(sc)
+    steps = []
+
+    def hook(step, t_mid, mid, new, tan):
+        steps.append((mid.copy(), new.copy(), None if tan is None else tan.copy(),
+                      engine.last_mid_velocity.copy()))
+
+    out = engine.evolve(pts, periods=2, tangent=tangent, step_hook=hook)
+    return out if tangent is not None else (out,), steps, engine.max_newton_iters
+
+
+@pytest.mark.parametrize("case", ["bump_hyperbolic", "sum_tangents", "all_frozen"])
+def test_frozen_rows_do_not_change_results(case, monkeypatch):
+    rng = np.random.default_rng(17)
+    if case == "bump_hyperbolic":
+        f = BumpField(1.0, [0.2, 0.1], 0.3)
+        sc = HamiltonianScenario(field=f, ball_radius=0.9, support_radius=f.support_radius + 1e-9,
+                                 dt=0.01, form=HyperbolicForm())
+        pts, tangent = HyperbolicForm().sample_ball(0.6, 2, 64, rng), None
+    else:
+        f = SumField([BumpField(0.9, [0.45, 0.0], 0.3), BumpField(-0.6, [-0.45, 0.0], 0.3)])
+        sc = HamiltonianScenario(field=f, ball_radius=1.2, support_radius=f.support_radius + 1e-9,
+                                 dt=0.01)
+        pts = StandardForm().sample_ball(1.0, 2, 64, rng)
+        if case == "all_frozen":
+            pts = pts[f.frozen(pts)]
+        tangent = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
+    share = f.frozen(pts).mean()
+    assert share == 1.0 if case == "all_frozen" else 0.0 < share < 1.0
+    runs = [_recorded_evolve(sc, pts, tangent)]
+    monkeypatch.setattr(f, "frozen", lambda x: np.zeros(len(x), dtype=bool))
+    runs.append(_recorded_evolve(sc, pts, tangent))
+    (out, steps, iters), (ref_out, ref_steps, ref_iters) = runs
+    assert iters == ref_iters and len(steps) == len(ref_steps) == 200
+    for a, b in zip(out, ref_out):
+        assert np.array_equal(a, b)
+    for step, ref_step in zip(steps, ref_steps):
+        for a, b in zip(step, ref_step):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_tangent_stack_with_frozen_rows():
+    """Any (n, d, k) or (d, k) tangent is transported, also when some rows are frozen."""
+    rng = np.random.default_rng(23)
+    f = BumpField(0.9, [0.45, 0.0], 0.3)
+    sc = HamiltonianScenario(field=f, ball_radius=1.2, support_radius=f.support_radius + 1e-9,
+                             dt=0.01)
+    pts = StandardForm().sample_ball(1.0, 2, 16, rng)
+    assert 0.0 < f.frozen(pts).mean() < 1.0
+    cols = rng.normal(size=(16, 2, 3))
+    _, jac = FlowMap(sc).evolve(pts, tangent=np.broadcast_to(np.eye(2), (16, 2, 2)).copy())
+    _, moved = FlowMap(sc).evolve(pts, tangent=cols)
+    assert moved.shape == (16, 2, 3) and np.allclose(moved, jac @ cols, rtol=0, atol=1e-12)
+    _, shared = FlowMap(sc).evolve(pts, tangent=cols[0])
+    assert shared.shape == (16, 2, 3) and np.allclose(shared, jac @ cols[0], rtol=0, atol=1e-12)
+    still = pts[f.frozen(pts)]
+    _, kept = FlowMap(sc).evolve(still, tangent=cols[:len(still)])
+    assert np.array_equal(kept, cols[:len(still)]) and kept.flags.writeable
+    assert not np.shares_memory(kept, cols)
+
+
 def test_scenario_json_roundtrip():
     time = TimeProfile(poly=(1.0,), cos=((0.3, 1),))
     sc = radial_scenario(0.8, time=time)
