@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,15 @@ from .harness import estimate_defect, homogenize
 
 KINDS = ("phi", "tau", "calabi", "reeb", "cal_s", "defect", "gg")
 STOCHASTIC_KINDS = ("tau", "cal_s", "defect", "gg")
+
+
+def _convert(key: str, value, kind: type):
+    """``kind(value)`` for spec field ``key``; a failed conversion is a validation error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"spec field {key!r} is not a valid {kind.__name__}: {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -51,8 +60,8 @@ class ExperimentSpec:
         seed = seed_override if seed_override is not None else params.get("seed")
         if kind in STOCHASTIC_KINDS and seed is None:
             raise ValidationError(f"kind {kind!r} is stochastic: a seed is mandatory")
-        return cls(kind=kind, params=params, seed=None if seed is None else int(seed),
-                   base_dir=path.parent)
+        seed = None if seed is None else _convert("seed", seed, int)
+        return cls(kind=kind, params=params, seed=seed, base_dir=path.parent)
 
     def path(self, key: str, required: bool = True) -> Path | None:
         rel = self.params.get(key)
@@ -70,6 +79,11 @@ class ExperimentSpec:
             raise ValidationError(f"spec is missing required field {key!r}")
         return self.params[key]
 
+    def number(self, key: str, kind: type, default=None):
+        """Field ``key`` converted by ``kind``, required when there is no default."""
+        value = self.require(key) if default is None else self.params.get(key, default)
+        return _convert(key, value, kind)
+
 
 def _write_record(out_dir: Path, kind: str, record: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -83,13 +97,14 @@ def _run_phi(spec: ExperimentSpec, out_dir: Path) -> dict:
     frame_file = spec.path("frame_file", required=False)
     frame = (symplectic.frame_from_json(json.loads(frame_file.read_text()))
              if frame_file else None)
-    p = int(spec.params.get("p", 64))
+    p = spec.number("p", int, 64)
     value, bound = symplectic.phi_homog(path, p, frame)
     schedule = spec.params.get("p_schedule")
     samples = None
     if schedule:
         ev = symplectic.PhiEvaluator(path.n, frame)
-        samples = homogenize(ev, path, [int(q) for q in schedule]).samples
+        powers = [_convert("p_schedule", q, int) for q in _convert("p_schedule", schedule, list)]
+        samples = homogenize(ev, path, powers).samples
         rows = [("p", "phi_over_p")] + [(q, val) for q, val in samples]
         with open(out_dir / "phi_samples.csv", "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -99,8 +114,8 @@ def _run_phi(spec: ExperimentSpec, out_dir: Path) -> dict:
 
 def _run_tau(spec: ExperimentSpec, out_dir: Path) -> dict:
     sc = hamflow.scenario_from_json(json.loads(spec.path("scenario_file").read_text()))
-    out = hamflow.tau_ball(sc, p=int(spec.require("p")),
-                           n_samples=int(spec.require("n_samples")), seed=spec.seed)
+    out = hamflow.tau_ball(sc, p=spec.number("p", int),
+                           n_samples=spec.number("n_samples", int), seed=spec.seed)
     return {"value": out.value,
             "error": {"statistical": out.std_error, "deterministic": out.deterministic_error},
             "p": out.p, "n_samples": out.n_samples, "dt": sc.dt}
@@ -109,7 +124,12 @@ def _run_tau(spec: ExperimentSpec, out_dir: Path) -> dict:
 def _run_calabi(spec: ExperimentSpec, out_dir: Path) -> dict:
     sc = hamflow.scenario_from_json(json.loads(spec.path("scenario_file").read_text()))
     quad = spec.params.get("quadrature", {})
-    rule = hamflow.QuadratureRule(**{k: quad[k] for k in quad})
+    names = {f.name for f in fields(hamflow.QuadratureRule)}
+    if not isinstance(quad, dict) or not set(quad) <= names:
+        raise ValidationError(f"quadrature must be an object with keys among {sorted(names)}")
+    rule = hamflow.QuadratureRule(**{
+        k: v if v is None else _convert(f"quadrature.{k}", v, float if k == "radius" else int)
+        for k, v in quad.items()})
     value = hamflow.calabi(sc, quadrature=rule)
     return {"value": value, "quadrature": {"n_r": rule.n_r, "n_angle": rule.n_angle,
                                            "n_t": rule.n_t}, "dt": sc.dt}
@@ -132,18 +152,19 @@ def _run_reeb(spec: ExperimentSpec, out_dir: Path) -> dict:
         h = reeb.GraphHamiltonian.from_json(graph, json.loads(ham_file.read_text()))
         record["theorem2_value"] = reeb.theorem2_value(graph, h)
     elif "constant" in spec.params:
-        h = reeb.GraphHamiltonian.constant(graph, float(spec.params["constant"]))
+        h = reeb.GraphHamiltonian.constant(graph, spec.number("constant", float))
         record["theorem2_value"] = reeb.theorem2_value(graph, h)
+    # compact: indent would send this large file through json's pure-Python encoder
     (out_dir / "reeb_graph.json").write_text(
-        json.dumps(reeb.graph_to_json(graph), indent=2, sort_keys=True) + "\n")
+        json.dumps(reeb.graph_to_json(graph), sort_keys=True, separators=(",", ":")) + "\n")
     return record
 
 
 def _run_cal_s(spec: ExperimentSpec, out_dir: Path) -> dict:
     iso = hypgeo.isotopy_from_json(json.loads(spec.path("isotopy_file").read_text()))
-    out = hypgeo.cal_s_estimate(iso, p=int(spec.require("p")),
-                                n_points=int(spec.require("n_points")),
-                                fiber_samples=int(spec.params.get("fiber_samples", 8)),
+    out = hypgeo.cal_s_estimate(iso, p=spec.number("p", int),
+                                n_points=spec.number("n_points", int),
+                                fiber_samples=spec.number("fiber_samples", int, 8),
                                 seed=spec.seed)
     return {"value": out.value,
             "error": {"statistical": out.std_error, "deterministic": None},
@@ -154,9 +175,9 @@ def _run_cal_s(spec: ExperimentSpec, out_dir: Path) -> dict:
 
 def _run_defect(spec: ExperimentSpec, out_dir: Path) -> dict:
     evaluator = spec.params.get("evaluator", "phi_sp")
-    n_pairs = int(spec.require("n_pairs"))
+    n_pairs = spec.number("n_pairs", int)
     if evaluator == "phi_sp":
-        n = int(spec.params.get("n", 1))
+        n = spec.number("n", int, 1)
         ev = symplectic.PhiEvaluator(n)
         est = estimate_defect(ev, lambda rng: symplectic.random_sp_path(n, rng),
                               n_pairs, spec.seed)
@@ -170,8 +191,8 @@ def _run_defect(spec: ExperimentSpec, out_dir: Path) -> dict:
 def _run_gg(spec: ExperimentSpec, out_dir: Path) -> dict:
     iso = hypgeo.isotopy_from_json(json.loads(spec.path("isotopy_file").read_text()))
     eta = hypgeo.OneForm.from_json(spec.require("eta"))
-    out = hypgeo.gg_quasimorphism_estimate(eta, iso, p=int(spec.require("p")),
-                                           n_points=int(spec.require("n_points")),
+    out = hypgeo.gg_quasimorphism_estimate(eta, iso, p=spec.number("p", int),
+                                           n_points=spec.number("n_points", int),
                                            seed=spec.seed)
     return {"value": out.value, "max_abs_u": out.max_abs_u, "p": out.p,
             "n_points": out.n_points}

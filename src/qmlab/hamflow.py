@@ -30,16 +30,18 @@ nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import IntegrationError, NumericalError, ValidationError
-from .symplectic import SpPath, standard_j
+from .symplectic import SpPath, _det2_from_complex, _turn_steps, standard_j
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
@@ -103,7 +105,8 @@ class SymplecticForm(ABC):
     def rho(self, pts: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def grad_rho(self, pts: np.ndarray) -> np.ndarray: ...
+    def rho_jet(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, grad rho) at the points, from one pass."""
 
     @abstractmethod
     def primitive_coefficient(self, r: np.ndarray) -> np.ndarray:
@@ -126,9 +129,12 @@ class SymplecticForm(ABC):
         """
         if dim != 2:
             raise ValidationError("stratified sampling is 2-dimensional")
-        q = (np.arange(n) + rng.random(n)) / n
+        return self._polar_sample((np.arange(n) + rng.random(n)) / n, radius, rng)
+
+    def _polar_sample(self, q: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
+        """2-d points at measure quantiles q of the ball, with uniform angles drawn from rng."""
         r = self._radius_quantile(q, radius)
-        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        ang = rng.uniform(0.0, 2.0 * np.pi, q.shape[0])
         return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
 
     def _radius_quantile(self, q: np.ndarray, radius: float) -> np.ndarray:
@@ -141,8 +147,8 @@ class StandardForm(SymplecticForm):
     def rho(self, pts):
         return np.ones(pts.shape[0])
 
-    def grad_rho(self, pts):
-        return np.zeros_like(pts)
+    def rho_jet(self, pts):
+        return self.rho(pts), np.zeros_like(pts)
 
     def primitive_coefficient(self, r):
         return np.full_like(np.asarray(r, dtype=float), 0.5)
@@ -176,9 +182,9 @@ class HyperbolicForm(SymplecticForm):
         r2 = _sq_norms(pts)
         return (2.0 / np.pi) / (1.0 - r2) ** 2
 
-    def grad_rho(self, pts):
-        r2 = _sq_norms(pts)
-        return (8.0 / np.pi) * pts / (1.0 - r2)[:, None] ** 3
+    def rho_jet(self, pts):
+        gap = 1.0 - _sq_norms(pts)
+        return (2.0 / np.pi) / gap ** 2, (8.0 / np.pi) * pts / gap[:, None] ** 3
 
     def primitive_coefficient(self, r):
         r = np.asarray(r, dtype=float)
@@ -188,6 +194,10 @@ class HyperbolicForm(SymplecticForm):
         """Measure of the disk of euclidean radius r: 2 r^2 / (1 - r^2)."""
         return 2.0 * r ** 2 / (1.0 - r ** 2)
 
+    def radius_of_measure(self, m):
+        """Euclidean radius of the centred disk of measure m (inverse of ``cumulative``)."""
+        return np.sqrt(m / (2.0 + m))
+
     def ball_measure(self, radius, dim):
         if dim != 2:
             raise ValidationError("the hyperbolic form is 2-dimensional")
@@ -196,15 +206,10 @@ class HyperbolicForm(SymplecticForm):
     def sample_ball(self, radius, dim, n, rng):
         if dim != 2:
             raise ValidationError("the hyperbolic form is 2-dimensional")
-        target = rng.random(n) * self.cumulative(radius)
-        r2 = target / (2.0 + target)
-        r = np.sqrt(r2)
-        ang = rng.uniform(0.0, 2.0 * np.pi, n)
-        return np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+        return self._polar_sample(rng.random(n), radius, rng)
 
     def _radius_quantile(self, q, radius):
-        target = q * self.cumulative(radius)
-        return np.sqrt(target / (2.0 + target))
+        return self.radius_of_measure(q * self.cumulative(radius))
 
 
 def form_from_json(data) -> SymplecticForm:
@@ -807,14 +812,17 @@ def scenario_to_json(sc: HamiltonianScenario) -> dict:
 
 def scenario_from_json(data: dict) -> HamiltonianScenario:
     try:
-        fld = field_from_json(data["H"], data.get("support_radius"))
-        return HamiltonianScenario(field=fld,
-                                   ball_radius=float(data["ball_radius"]),
-                                   support_radius=float(data["support_radius"]),
-                                   dt=float(data.get("dt", 1e-3)),
-                                   form=form_from_json(data.get("form")))
+        h = data["H"]
+        ball_radius = float(data["ball_radius"])
+        support_radius = float(data["support_radius"])
+        dt = float(data.get("dt", 1e-3))
     except KeyError as exc:
         raise ValidationError(f"malformed scenario JSON: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed scenario JSON: {exc}") from exc
+    return HamiltonianScenario(field=field_from_json(h, data.get("support_radius")),
+                               ball_radius=ball_radius, support_radius=support_radius,
+                               dt=dt, form=form_from_json(data.get("form")))
 
 
 def concat_scenarios(first: HamiltonianScenario, second: HamiltonianScenario) -> HamiltonianScenario:
@@ -907,10 +915,12 @@ class FlowMap:
         """
         g, m = self.sc.field.jet(pts, t, order)
         if not self._standard:
-            rho = self.sc.form.rho(pts)
-            if m is not None:
+            if m is None:
+                rho = self.sc.form.rho(pts)
+            else:
+                rho, grad_rho = self.sc.form.rho_jet(pts)
                 m = (m / rho[:, None, None]
-                     - g[:, :, None] * self.sc.form.grad_rho(pts)[:, None, :]
+                     - g[:, :, None] * grad_rho[:, None, :]
                      / (rho ** 2)[:, None, None])
             g = g / rho[:, None]
         return self._apply_j(g), None if m is None else self._apply_j(m)
@@ -1006,26 +1016,21 @@ def integrate_flow(sc: HamiltonianScenario, x0, t: float):
     return pts[0]
 
 
-def _det2_first_columns(tangent: np.ndarray, n: int) -> np.ndarray:
-    """(det / |det|)^2 of the complexified first n columns of each tangent."""
-    if n == 1:
-        d = tangent[:, 0, 0] + 1j * tangent[:, 1, 0]
-    else:
-        d = np.linalg.det(tangent[:, :n, :n] + 1j * tangent[:, n:, :n])
-    return (d / np.abs(d)) ** 2
-
-
 class _WindingTracker:
-    """Accumulates det^2 phase along tangent transport, with an alias guard."""
+    """Accumulates det^2 phase of the tangents' image of R^n, with an alias guard."""
 
     def __init__(self, n: int, tangent0: np.ndarray):
         self.n = n
-        self.prev = _det2_first_columns(tangent0, n)
+        self.prev = self._det2(tangent0)
         self.turns = np.zeros(tangent0.shape[0])
 
+    def _det2(self, tangent: np.ndarray) -> np.ndarray:
+        n = self.n
+        return _det2_from_complex(tangent[:, :n, :n] + 1j * tangent[:, n:, :n])
+
     def update(self, tangent: np.ndarray):
-        cur = _det2_first_columns(tangent, self.n)
-        step = np.angle(cur / self.prev) / (2.0 * np.pi)
+        cur = self._det2(tangent)
+        step = _turn_steps(self.prev, cur)
         if np.max(np.abs(step)) >= ALIAS_GUARD:
             raise NumericalError(
                 "det^2 phase moved >= 0.4 turns in one step: decrease dt")
@@ -1088,26 +1093,30 @@ class QuadratureRule:
     n_axis: int = 16
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only (leggauss is costly)."""
+    xs, ws = leggauss(n)
+    nodes, weights = 0.5 * (xs + 1.0), 0.5 * ws
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _ball_nodes(form: SymplecticForm, dim: int, rule: QuadratureRule, radius: float):
-    from numpy.polynomial.legendre import leggauss
     if dim == 2:
-        xs, ws = leggauss(rule.n_r)
-        r = 0.5 * radius * (xs + 1.0)
-        wr = 0.5 * radius * ws
+        u, wu = _unit_gauss_legendre(rule.n_r)
+        r = radius * u
+        wr = radius * wu
         ang = 2.0 * np.pi * np.arange(rule.n_angle) / rule.n_angle
         rr, aa = np.meshgrid(r, ang, indexing="ij")
         pts = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
         w = np.repeat(wr * r, rule.n_angle) * (2.0 * np.pi / rule.n_angle)
         return pts, w * form.rho(pts)
-    xs, ws = leggauss(rule.n_axis)
-    axes = [0.5 * radius * (xs + 1.0) * 2.0 - radius for _ in range(dim)]
-    wts = [radius * ws for _ in range(dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    u, wu = _unit_gauss_legendre(rule.n_axis)
+    side = 2.0 * radius  # the cube [-radius, radius]^dim
+    grids = np.meshgrid(*[side * u - radius] * dim, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = np.ones(pts.shape[0])
-    for axis in range(dim):
-        w = w * np.repeat(np.tile(wts[axis], int(np.prod([rule.n_axis] * axis))),
-                          int(np.prod([rule.n_axis] * (dim - axis - 1))))
+    w = functools.reduce(np.multiply.outer, [side * wu] * dim).ravel()
     keep = np.linalg.norm(pts, axis=1) <= radius
     return pts[keep], (w * form.rho(pts))[keep]
 
@@ -1123,10 +1132,7 @@ def calabi(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
         raise ValidationError("quadrature domain exceeds the ball")
     prim = primitive or sc.primitive()
     pts, w = _ball_nodes(sc.form, sc.dim, rule, radius)
-    from numpy.polynomial.legendre import leggauss
-    ts, wt = leggauss(rule.n_t)
-    ts = 0.5 * (ts + 1.0)
-    wt = 0.5 * wt
+    ts, wt = _unit_gauss_legendre(rule.n_t)
     rho = sc.form.rho(pts)
     j = standard_j(sc.dim // 2)
     total = 0.0

@@ -14,26 +14,23 @@ Calabi value on disk-supported maps.
 Normalization (frozen): the fiber coordinate is measured in turns, the
 contact form is the Levi-Civita angular form over 2 pi, and the surface
 form is the hyperbolic area over 2 pi, so a genus-g surface has total area
-2g-2 and the chart primitive is (x dy - y dx)/(pi (1 - r^2)).
+2g-2 and the chart primitive is (x dy - y dx)/(pi (1 - r^2)).  That form,
+with its measure <-> radius map, is ``hamflow.HyperbolicForm``; the
+Gauss-Legendre rule of the integrals here is ``hamflow``'s as well.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalError, RefinePathError, ValidationError
-from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm,
+from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _unit_gauss_legendre,
                       scenario_from_json, scenario_to_json)
 
 DISK_EDGE = 1.0 - 1e-12
 LIFT_GUARD = 0.5  # turns; a boundary-lift step at or past this aliases
-# leggauss solves an eigenproblem that costs more than a whole geodesic
-# integral; the cached arrays are shared, so callers must not write to them
-_gauss_legendre = functools.lru_cache(maxsize=None)(leggauss)
 
 
 def _as_complex(z) -> complex:
@@ -158,7 +155,7 @@ class DiskIsotopy:
     @property
     def chart_radius(self) -> float:
         """Euclidean radius of U: area = 2 r^2 / (1 - r^2)."""
-        return float(np.sqrt(self.disk_area / (2.0 + self.disk_area)))
+        return float(self.scenario.form.radius_of_measure(self.disk_area))
 
     @property
     def total_area(self) -> float:
@@ -170,9 +167,8 @@ class DiskIsotopy:
 
     def mean_constant_integral(self) -> float:
         """Time integral of c over one period."""
-        ts, wt = _gauss_legendre(32)
-        ts = 0.5 * (ts + 1.0)
-        return float(sum(0.5 * w * self.mean_zero_constant(float(t)) for t, w in zip(ts, wt)))
+        ts, wt = _unit_gauss_legendre(32)
+        return float(sum(w * self.mean_zero_constant(float(t)) for t, w in zip(ts, wt)))
 
 
 def isotopy_to_json(iso: DiskIsotopy) -> dict:
@@ -182,11 +178,14 @@ def isotopy_to_json(iso: DiskIsotopy) -> dict:
 
 def isotopy_from_json(data: dict) -> DiskIsotopy:
     try:
-        return DiskIsotopy(scenario=scenario_from_json(data["scenario"]),
-                           genus=int(data["genus"]),
-                           disk_area=float(data["disk_area"]))
+        genus = int(data["genus"])
+        disk_area = float(data["disk_area"])
+        scenario = data["scenario"]
     except KeyError as exc:
         raise ValidationError(f"malformed DiskIsotopy JSON: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed DiskIsotopy JSON: {exc}") from exc
+    return DiskIsotopy(scenario=scenario_from_json(scenario), genus=genus, disk_area=disk_area)
 
 
 # --------------------------------------------------------------------------
@@ -395,9 +394,7 @@ def geodesic_line_integral(eta: OneForm, z0: complex, z1: complex,
     w1 = (z1 - z0) / (1.0 - np.conj(z0) * z1)
     if abs(w1) < 1e-15:
         return 0.0
-    ts, ws = _gauss_legendre(quad_nodes)
-    ts = 0.5 * (ts + 1.0)
-    ws = 0.5 * ws
+    ts, ws = _unit_gauss_legendre(quad_nodes)
     tw = ts * w1
     curve = (tw + z0) / (1.0 + np.conj(z0) * tw)
     dcurve = w1 * (1.0 - abs(z0) ** 2) / (1.0 + np.conj(z0) * tw) ** 2

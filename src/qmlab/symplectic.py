@@ -100,8 +100,8 @@ def coordinate_lagrangian(n: int) -> LagrangianFrame:
 
 
 def _det2_from_complex(a: np.ndarray) -> np.ndarray:
-    """det^2 of the unitary orthonormalization, batched over leading axes."""
-    d = np.linalg.det(a)
+    """det^2 of the unitary orthonormalization, batched over leading axes (n = 1 skips LAPACK)."""
+    d = a[..., 0, 0] if a.shape[-1] == 1 else np.linalg.det(a)
     mod = np.abs(d)
     if np.any(mod == 0.0):
         raise ValidationError("degenerate frame encountered in det^2")
@@ -119,6 +119,11 @@ def lagrangian_det2(l0: LagrangianFrame, l1: LagrangianFrame) -> complex:
         raise ValidationError("frames have mismatched n")
     return complex(_det2_from_complex(l1.as_complex()) *
                    np.conj(_det2_from_complex(l0.as_complex())))
+
+
+def _turn_steps(prev, cur):
+    """Principal-branch phase steps prev -> cur of unit complex values, in turns."""
+    return np.angle(cur / prev) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def winding(circle_values) -> WindingValue:
     values = np.asarray(circle_values, dtype=complex)
     if values.ndim != 1 or values.size < 2:
         raise ValidationError("winding needs a 1-d list of at least 2 values")
-    steps = np.angle(values[1:] / values[:-1]) / (2.0 * np.pi)
+    steps = _turn_steps(values[:-1], values[1:])
     bad = np.nonzero(np.abs(steps) >= 0.5)[0]
     if bad.size:
         raise RefinePathError(int(bad[0]))
@@ -262,7 +267,7 @@ def _refined_turns(m_lo: np.ndarray, m_hi: np.ndarray, frame: LagrangianFrame,
     total = 0.0
     for a, b in ((m_lo, m_mid), (m_mid, m_hi)):
         vals = _det2_values(np.stack([a, b]), frame)
-        step = np.angle(vals[1] / vals[0]) / (2.0 * np.pi)
+        step = _turn_steps(vals[0], vals[1])
         if abs(step) >= 0.5:
             total += _refined_turns(a, b, frame, depth + 1)
         else:
@@ -281,7 +286,7 @@ def phi_lag(path: SpPath, l0: LagrangianFrame | None = None) -> float:
     if l0.n != path.n:
         raise ValidationError("frame dimension does not match the path")
     vals = _det2_values(path.matrices, l0)
-    steps = np.angle(vals[1:] / vals[:-1]) / (2.0 * np.pi)
+    steps = _turn_steps(vals[:-1], vals[1:])
     bad = np.nonzero(np.abs(steps) >= 0.5)[0]
     total = float(steps.sum())
     for idx in bad:

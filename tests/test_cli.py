@@ -177,6 +177,39 @@ def test_malformed_spec_exits_2(tmp_path):
     assert cli.main(["phi", "--spec", str(empty), "--out", str(tmp_path)]) == 2
 
 
+@pytest.fixture()
+def malformed_inputs(tmp_path, radial_scenario_file):
+    """A scenario with "dt": "fast", an isotopy with "genus": "two", and a valid loop."""
+    write_json(tmp_path / "bad_dt.json",
+               dict(json.loads(radial_scenario_file.read_text()), dt="fast"))
+    sc = HamiltonianScenario(field=RadialField([0.5], support_radius=0.4), ball_radius=0.55,
+                             support_radius=0.4, dt=0.01, form=HyperbolicForm())
+    write_json(tmp_path / "bad_genus.json",
+               {"scenario": scenario_to_json(sc), "genus": "two", "disk_area": 0.6})
+    write_json(tmp_path / "loop.json", path_to_json(full_rotation_loop()))
+    return tmp_path
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("tau", {"scenario_file": "scenario.json", "p": "eight", "n_samples": 8, "seed": 1}),
+    ("tau", {"scenario_file": "bad_dt.json", "p": 2, "n_samples": 8, "seed": 1}),
+    ("calabi", {"scenario_file": "scenario.json", "quadrature": {"bogus": 3}}),
+    ("calabi", {"scenario_file": "scenario.json", "quadrature": [1, 2]}),
+    ("calabi", {"scenario_file": "scenario.json", "quadrature": {"n_r": "many"}}),
+    ("cal_s", {"isotopy_file": "bad_genus.json", "p": 2, "n_points": 8, "seed": 1}),
+    ("tau", {"scenario_file": "scenario.json", "p": 2, "n_samples": 8, "seed": "x"}),
+    ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": ["a"]}),
+    ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": 5}),
+], ids=["p_not_int", "dt_not_float", "quadrature_bad_key", "quadrature_not_object",
+        "quadrature_bad_value", "genus_not_int", "seed_not_int", "schedule_entry_not_int",
+        "schedule_not_list"])
+def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
+    spec_file = write_json(malformed_inputs / "spec.json", spec)
+    out = malformed_inputs / "out"
+    assert cli.main([kind, "--spec", str(spec_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # e1 jumps by a half turn while the step matrix has negative real
     # eigenvalues: the refinement's matrix log leaves the real algebra

@@ -344,23 +344,36 @@ def test_tau_integrand_matches_phi_lag_route():
 
 
 def test_det2_n1_fast_path_matches_det(monkeypatch):
-    from qmlab.hamflow import _det2_first_columns
+    from qmlab.symplectic import _det2_from_complex, full_rotation_loop
     rng = np.random.default_rng(17)
     tan = rng.standard_normal((500, 2, 2))
     det = np.linalg.det(tan)
     tan[det < 0, :, 0] *= -1.0
     tan /= np.sqrt(np.abs(det))[:, None, None]  # random 2x2 symplectic tangents
-    d = np.linalg.det(tan[:, :1, :1] + 1j * tan[:, 1:, :1])
+    a = tan[:, :1, :1] + 1j * tan[:, 1:, :1]
+    d = np.linalg.det(a)
     via_det = (d / np.abs(d)) ** 2
-    assert np.max(np.abs(_det2_first_columns(tan, 1) - via_det)) <= 8 * np.finfo(float).eps
+    assert np.max(np.abs(_det2_from_complex(a) - via_det)) <= 8 * np.finfo(float).eps
     calls = []
     real_det = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or real_det(a))
-    _det2_first_columns(tan, 1)
+    _det2_from_complex(a)
+    assert phi_lag(full_rotation_loop(33)) == pytest.approx(2.0, abs=1e-12)
     assert calls == []
     tan4 = np.broadcast_to(np.eye(4), (3, 4, 4))
-    assert np.allclose(_det2_first_columns(tan4, 2), 1.0)
+    assert np.allclose(_det2_from_complex(tan4[:, :2, :2] + 1j * tan4[:, 2:, :2]), 1.0)
     assert calls == [(3, 2, 2)]
+
+
+def test_unit_gauss_legendre_is_cached_and_read_only():
+    from qmlab.hamflow import _unit_gauss_legendre
+    nodes, weights = _unit_gauss_legendre(8)
+    assert _unit_gauss_legendre(8)[0] is nodes
+    assert np.all((nodes > 0.0) & (nodes < 1.0))
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 # ---------------------------------------------------------------- theorem 3
