@@ -27,12 +27,15 @@ STOCHASTIC_KINDS = ("tau", "cal_s", "defect", "gg")
 
 
 def _convert(key: str, value, kind: type):
-    """``kind(value)`` for spec field ``key``; a failed conversion is a validation error."""
+    """``kind(value)`` for spec field ``key``; a failed or lossy conversion is a validation error."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError("fractional part")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"spec field {key!r} is not a valid {kind.__name__}: {value!r}") from exc
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,8 @@ A kind may also override ``frozen(pts)``, a conservative mask of the rows
 where the gradient and the Hessian are exactly zero at every t (the
 default flags |z| >= support_radius).  ``FlowMap.evolve`` computes the
 mask once and integrates only the other rows: a flagged row must give an
-exactly zero jet, so that skipping it changes no output bit.  A kind
-whose evaluation of a row depends on the rest of the batch must flag
-nothing.
+exactly zero jet, and no row's jet may depend on the rest of the batch,
+so that skipping rows changes no output bit.
 """
 
 from __future__ import annotations
@@ -651,23 +650,29 @@ class ConjugatedField(HamiltonianField):
         self.dim = base.dim
         self.support_radius = float(np.linalg.norm(g, 2) * base.support_radius)
 
+    def _pull_back(self, pts):
+        """g^{-1} x for each row x, as a stack of one-row products.
+
+        A plain ``pts @ g_inv.T`` takes another BLAS kernel for one row
+        than for a batch, and the two round differently; a stacked product
+        rounds each row alike in any batch (so does the gradient's below).
+        """
+        return (pts[:, None, :] @ self.g_inv.T)[:, 0]
+
     def value(self, pts, t):
-        return self.base.value(pts @ self.g_inv.T, t)
+        return self.base.value(self._pull_back(pts), t)
 
     def jet(self, pts, t, order=1):
-        g, hs = self.base.jet(pts @ self.g_inv.T, t, order)
+        g, hs = self.base.jet(self._pull_back(pts), t, order)
         if hs is not None:
             hs = np.einsum("ki,nkl,lj->nij", self.g_inv, hs, self.g_inv)
-        return g @ self.g_inv, hs
+        return (g[:, None, :] @ self.g_inv)[:, 0], hs
 
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
 
     def frozen(self, pts):
-        # The products with g^{-1} go through BLAS, whose result for a row
-        # depends on the batch (one row takes another kernel), so a flow
-        # over the unflagged rows alone could move them: flag nothing.
-        return np.zeros(pts.shape[0], dtype=bool)
+        return self.base.frozen(self._pull_back(pts))
 
     def space_integral(self, form, t):
         if form.kind != "standard":
@@ -724,14 +729,14 @@ class PrimitiveOneForm:
     form: SymplecticForm
     shift: PolyBumpField | None = None
 
-    def evaluate(self, pts: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        n = pts.shape[1] // 2
-        j = standard_j(n)
+    def covector(self, pts: np.ndarray) -> np.ndarray:
+        """lambda at the points as (N, dim) covectors: lambda_x(v) = sum(covector(x) * v)."""
+        j = standard_j(pts.shape[1] // 2)
         r = np.linalg.norm(pts, axis=1)
-        base = self.form.primitive_coefficient(r) * np.sum(pts * (vecs @ j), axis=1)
+        cov = self.form.primitive_coefficient(r)[:, None] * (pts @ j.T)
         if self.shift is not None:
-            base = base + np.sum(self.shift.spatial_jet(pts)[0] * vecs, axis=1)
-        return base
+            cov = cov + self.shift.spatial_jet(pts)[0]
+        return cov
 
 
 def validate_primitive(prim: PrimitiveOneForm, dim: int, rng: np.random.Generator,
@@ -742,16 +747,10 @@ def validate_primitive(prim: PrimitiveOneForm, dim: int, rng: np.random.Generato
     h = 1e-5
     worst = 0.0
     j = standard_j(dim // 2)
+    diffs = [prim.covector(pts + h * e) - prim.covector(pts - h * e) for e in np.eye(dim)]
     for i in range(dim):
         for k in range(i + 1, dim):
-            ei = np.zeros(dim)
-            ek = np.zeros(dim)
-            ei[i] = 1.0
-            ek[k] = 1.0
-            lam_k = lambda q: prim.evaluate(q, np.broadcast_to(ek, q.shape).copy())
-            lam_i = lambda q: prim.evaluate(q, np.broadcast_to(ei, q.shape).copy())
-            d_ik = ((lam_k(pts + h * ei) - lam_k(pts - h * ei))
-                    - (lam_i(pts + h * ek) - lam_i(pts - h * ek))) / (2.0 * h)
+            d_ik = (diffs[i][:, k] - diffs[k][:, i]) / (2.0 * h)
             nu_ik = form.rho(pts) * j.T[i, k]
             worst = max(worst, float(np.max(np.abs(d_ik - nu_ik))))
     if worst > tol:
@@ -895,8 +894,6 @@ class FlowMap:
         self._eye = np.eye(sc.dim)
         self.max_newton_iters = 0
         self._standard = sc.form.kind == "standard"
-        # the converged midpoint state of the last accepted step, for hooks
-        self.last_mid_velocity: np.ndarray | None = None
 
     def _apply_j(self, x: np.ndarray) -> np.ndarray:
         """J0 applied along axis 1 of a batch of vectors or matrices; hand-rolled in 2-d."""
@@ -950,9 +947,9 @@ class FlowMap:
     def evolve(self, pts, periods: int = 1, tangent=None, step_hook=None):
         """Advance a batch through whole periods; optionally transport tangents.
 
-        ``step_hook(step_index, t_mid, mid_pts, new_pts, tangent)`` runs
-        after every accepted step; hooks may read ``last_mid_velocity`` for
-        the converged midpoint velocity of that step.
+        ``step_hook(step_index, t_mid, mid_pts, mid_vel, new_pts, tangent)``
+        runs after every accepted step; ``mid_vel`` is the converged
+        midpoint velocity of that step.
 
         Only the rows that the field's ``frozen`` mask leaves are stepped.
         A frozen row keeps its point (mid = new = start), has velocity 0
@@ -985,9 +982,8 @@ class FlowMap:
                 if tangent is not None:
                     tangent = tangent.copy()
                     tangent[live] = self._cayley(a_mid) @ tangent[live]
-            self.last_mid_velocity = vel
             if step_hook is not None:
-                step_hook(step, t_mid, 0.5 * (pts + new), new, tangent)
+                step_hook(step, t_mid, 0.5 * (pts + new), vel, new, tangent)
             pts = new
         return (pts, tangent) if tangent is not None else pts
 
@@ -1055,7 +1051,7 @@ def jacobian_path(sc: HamiltonianScenario, x0, p: int, sample_stride: int | None
     times = [0.0]
     rho0 = sc.form.rho(x0)[0]
 
-    def hook(step, t_mid, mid, new, tangent):
+    def hook(step, t_mid, mid, vel, new, tangent):
         if (step + 1) % stride == 0 or step + 1 == p * engine.steps_per_period:
             mat = tangent[0].copy()
             if sc.form.kind != "standard":
@@ -1135,10 +1131,11 @@ def calabi(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
     ts, wt = _unit_gauss_legendre(rule.n_t)
     rho = sc.form.rho(pts)
     j = standard_j(sc.dim // 2)
+    cov = prim.covector(pts)
     total = 0.0
     for t, w_t in zip(ts, wt):
         z = (sc.field.grad(pts, float(t)) @ j.T) / rho[:, None]
-        total += w_t * float(np.sum(w * prim.evaluate(pts, z)))
+        total += w_t * float(np.sum(w * np.sum(cov * z, axis=1)))
     return total
 
 
@@ -1198,7 +1195,7 @@ def tau_ball(sc: HamiltonianScenario, p: int, n_samples: int, seed: int) -> TauR
     tangent = np.broadcast_to(np.eye(sc.dim), (n_samples, sc.dim, sc.dim)).copy()
     tracker = _WindingTracker(n, tangent)
 
-    def hook(step, t_mid, mid, new, tan):
+    def hook(step, t_mid, mid, vel, new, tan):
         tracker.update(tan)
 
     engine.evolve(pts, periods=p, tangent=tangent, step_hook=hook)

@@ -103,10 +103,10 @@ def homogenize(ev: QmEvaluator, x: Handle, p_schedule: Sequence[int]) -> Homogen
                                 error_bound=ev.error_bound(p_last), samples=samples)
 
 
-def homogenize_until(ev: QmEvaluator, x: Handle, *, p0: int = 1, p_max: int = 4096,
+def homogenize_until(ev: QmEvaluator, x: Handle, *, p_max: int = 4096,
                      abs_bound: float | None = None,
                      quotient_tol: float | None = None) -> HomogenizationResult:
-    """Power-doubling homogenization with a caller-supplied stop rule.
+    """Power-doubling homogenization from p = 1 with a caller-supplied stop rule.
 
     Stops once the evaluator's deterministic bound drops below
     ``abs_bound`` or successive quotients differ by less than
@@ -117,7 +117,7 @@ def homogenize_until(ev: QmEvaluator, x: Handle, *, p0: int = 1, p_max: int = 40
     if abs_bound is None and quotient_tol is None:
         raise ValidationError("supply abs_bound and/or quotient_tol as a stop rule")
     samples: list[tuple[int, float]] = []
-    p = p0
+    p = 1
     prev = None
     while True:
         result = homogenize(ev, x, [p])

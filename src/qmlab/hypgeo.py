@@ -31,6 +31,8 @@ from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _unit_gauss_
 
 DISK_EDGE = 1.0 - 1e-12
 LIFT_GUARD = 0.5  # turns; a boundary-lift step at or past this aliases
+LIFT_STRIDE = 2   # flow steps per boundary lift
+GEODESIC_NODES = 32  # Gauss-Legendre nodes of a geodesic line integral
 
 
 def _as_complex(z) -> complex:
@@ -85,28 +87,34 @@ def concat_circle_paths(a: CirclePath, b: CirclePath) -> CirclePath:
                                       b.lifted_angles[1:] + np.round(offset)]))
 
 
-def geodesic_endpoint(v: UnitDirection) -> float:
-    """Boundary angle (radians mod 2 pi) of the geodesic ray from v.
+def _mobius(a, w):
+    """The disk automorphism w -> (w + a) / (1 + conj(a) w), which sends 0 to a."""
+    return (w + a) / (1.0 + np.conj(a) * w)
 
-    Closed form: the Mobius map sending the base to 0 preserves direction
-    angles at the base point, so the ray hits exp(i angle) and pulls back.
-    """
-    z0 = v.base
-    w = np.exp(1j * v.angle)
-    end = (w + z0) / (1.0 + np.conj(z0) * w)
-    return float(np.angle(end))
+
+def geodesic_endpoint(v: UnitDirection) -> float:
+    """Boundary angle (radians mod 2 pi) of the geodesic ray from v."""
+    return float(_endpoint_angles(np.array([v.base]), np.array([[v.angle]]))[0, 0])
 
 
 def _endpoint_angles(z: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Vectorized geodesic_endpoint: z complex (N,), psi (N, k) -> angles (N, k)."""
-    w = np.exp(1j * psi)
-    zc = z[:, None]
-    end = (w + zc) / (1.0 + np.conj(zc) * w)
-    return np.angle(end)
+    """Boundary angles of the geodesic rays at z complex (N,) in directions psi (N, k).
+
+    Closed form: the Mobius map sending 0 to the base preserves direction
+    angles there, so the ray from 0 towards exp(i psi) maps onto the ray.
+    """
+    return np.angle(_mobius(z[:, None], np.exp(1j * psi)))
 
 
 def parallel_transport_rate(z: complex, zdot: complex) -> float:
-    """Chart-frame rotation rate (radians per time) of a parallel frame.
+    """Chart-frame rotation rate (radians per time) of a parallel frame."""
+    z, zdot = complex(z), complex(zdot)
+    return float(transport_rate_points(np.array([[z.real, z.imag]]),
+                                       np.array([[zdot.real, zdot.imag]]))[0])
+
+
+def transport_rate_points(pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    """Chart-frame rotation rates of parallel frames at real (N, 2) points and velocities.
 
     For the conformal hyperbolic metric the Levi-Civita transport of a
     vector along a velocity zdot rotates its chart angle at
@@ -114,12 +122,6 @@ def parallel_transport_rate(z: complex, zdot: complex) -> float:
     its loop integral is minus the enclosed hyperbolic area (Gauss-Bonnet
     with curvature -1).
     """
-    z = complex(z)
-    return float(-2.0 * np.imag(np.conj(z) * zdot) / (1.0 - abs(z) ** 2))
-
-
-def transport_rate_points(pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """Batched parallel_transport_rate on real (N, 2) arrays."""
     imag_part = pts[:, 0] * vel[:, 1] - pts[:, 1] * vel[:, 0]
     r2 = np.sum(pts ** 2, axis=1)
     return -2.0 * imag_part / (1.0 - r2)
@@ -210,12 +212,11 @@ class _LiftState:
     """
 
     def __init__(self, iso: DiskIsotopy, pts: np.ndarray, psi0: np.ndarray, p: int,
-                 lift_stride: int, keep_trace: bool = False):
+                 keep_trace: bool = False):
         self.iso = iso
         self.engine = FlowMap(iso.scenario)
         self.psi0 = psi0  # (N, k)
         self.dpsi = np.zeros(pts.shape[0])
-        self.stride = lift_stride
         # (N, k) lifted boundary angles, turns
         self.eta_start = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], psi0) / (2.0 * np.pi)
         self.eta = self.eta_start
@@ -225,18 +226,18 @@ class _LiftState:
         self.trace = [(0.0, pts.copy(), psi0, self.eta)] if keep_trace else None
         out = self.engine.evolve(pts, periods=p, step_hook=self.hook)
         total = p * self.engine.steps_per_period
-        if total % lift_stride:
+        if total % LIFT_STRIDE:
             self._lift(out, total * self.engine.h)
         if self.max_radius >= iso.chart_radius * (1.0 + 1e-9):
             raise NumericalError("a trajectory left the disk U (support violation)")
 
-    def hook(self, step: int, t_mid: float, mid: np.ndarray, new: np.ndarray, tangent):
+    def hook(self, step: int, t_mid: float, mid: np.ndarray, vel: np.ndarray,
+             new: np.ndarray, tangent):
         h = self.engine.h
-        vel = self.engine.last_mid_velocity  # converged midpoint velocity of this step
         rate = transport_rate_points(mid, vel)
         h_tilde = self.iso.scenario.field.value(mid, t_mid) + self.iso.mean_zero_constant(t_mid)
         self.dpsi += h * (rate - 2.0 * np.pi * h_tilde)
-        if (step + 1) % self.stride == 0:
+        if (step + 1) % LIFT_STRIDE == 0:
             self._lift(new, (step + 1) * h)
 
     def _lift(self, pts: np.ndarray, t: float):
@@ -248,23 +249,21 @@ class _LiftState:
         self.max_step = max(self.max_step, worst)
         if worst >= LIFT_GUARD:
             raise NumericalError(
-                f"boundary lift moved {worst:.3f} turns between samples: decrease dt or lift_stride")
+                f"boundary lift moved {worst:.3f} turns between samples: decrease dt")
         self.eta = self.eta + step
         if self.trace is not None:
             self.trace.append((t, pts.copy(), psi, self.eta))
 
 
-def _boundary_indices(iso: DiskIsotopy, pts: np.ndarray, p: int, fiber_samples: int,
-                      lift_stride: int) -> np.ndarray:
+def _boundary_indices(iso: DiskIsotopy, pts: np.ndarray, p: int, fiber_samples: int) -> np.ndarray:
     """floor(eta - eta_start) over p periods, (N, k), at k equally spaced fiber angles."""
     psi0 = np.broadcast_to(2.0 * np.pi * np.arange(fiber_samples) / fiber_samples,
                            (pts.shape[0], fiber_samples))
-    state = _LiftState(iso, pts, psi0, p, lift_stride)
+    state = _LiftState(iso, pts, psi0, p)
     return np.floor(state.eta - state.eta_start)
 
 
-def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int,
-               lift_stride: int = 2) -> tuple[list, CirclePath]:
+def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int) -> tuple[list, CirclePath]:
     """Lift the isotopy through the direction bundle along the orbit of v.
 
     Returns the sampled direction path [(t, point, chart angle), ...] and
@@ -274,13 +273,12 @@ def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int,
         raise ValidationError("p must be >= 1")
     z = _chart_point(iso, v.base)
     pts = np.array([[z.real, z.imag]])
-    state = _LiftState(iso, pts, np.array([[v.angle]]), p, lift_stride, keep_trace=True)
+    state = _LiftState(iso, pts, np.array([[v.angle]]), p, keep_trace=True)
     path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi, _ in state.trace]
     return path, CirclePath(np.array([eta[0, 0] for *_, eta in state.trace]))
 
 
-def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8,
-                   lift_stride: int = 2) -> float:
+def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> float:
     """-min over fiber directions of the boundary index of the lift at x.
 
     Outside the support (but inside U) the trajectory is fixed and the
@@ -289,7 +287,7 @@ def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8,
     z = _chart_point(iso, x)
     if abs(z) >= iso.scenario.support_radius:
         return p * iso.mean_constant_integral()
-    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples, lift_stride)
+    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples)
     return float(-np.min(indices))
 
 
@@ -304,7 +302,7 @@ class CalSResult:
 
 
 def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int = 8,
-                   seed: int = 0, lift_stride: int = 2) -> CalSResult:
+                   seed: int = 0) -> CalSResult:
     """Monte Carlo estimate of the homogenized angle integral over the surface.
 
     Points are drawn form-uniformly on U (stratified in equal-measure
@@ -326,7 +324,7 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
     c_bar = iso.mean_constant_integral()
     vals = np.full(n_points, c_bar)
     if np.any(inside):
-        indices = _boundary_indices(iso, pts[inside], p, fiber_samples, lift_stride)
+        indices = _boundary_indices(iso, pts[inside], p, fiber_samples)
         vals[inside] = -np.min(indices, axis=1) / p
     value = float(np.mean(vals)) * iso.disk_area + c_bar * (iso.total_area - iso.disk_area)
     std_error = float(np.std(vals, ddof=1) / np.sqrt(n_points)) * iso.disk_area
@@ -334,11 +332,10 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
                       fiber_samples=fiber_samples, seed=seed)
 
 
-def fiber_index_spread(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8,
-                       lift_stride: int = 2) -> int:
+def fiber_index_spread(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> int:
     """max - min of the boundary index over fiber directions (paper bound: <= 2)."""
     z = _chart_point(iso, x)
-    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples, lift_stride)
+    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples)
     return int(np.ptp(indices))
 
 
@@ -379,24 +376,21 @@ class OneForm:
 
 def hyperbolic_distance(z0: complex, z1: complex) -> float:
     """Distance in the curvature -1 metric."""
-    num = abs(z1 - z0)
-    den = abs(1.0 - np.conj(z0) * z1)
-    return float(2.0 * np.arctanh(num / den))
+    return float(2.0 * np.arctanh(abs(_mobius(-z0, z1))))
 
 
-def geodesic_line_integral(eta: OneForm, z0: complex, z1: complex,
-                           quad_nodes: int = 32) -> float:
+def geodesic_line_integral(eta: OneForm, z0: complex, z1: complex) -> float:
     """Integral of eta along the hyperbolic geodesic from z0 to z1.
 
     The geodesic is the Mobius image of a radial segment, so the integral
     is a single Gauss-Legendre sum over a closed-form parametrization.
     """
-    w1 = (z1 - z0) / (1.0 - np.conj(z0) * z1)
+    w1 = _mobius(-z0, z1)
     if abs(w1) < 1e-15:
         return 0.0
-    ts, ws = _unit_gauss_legendre(quad_nodes)
+    ts, ws = _unit_gauss_legendre(GEODESIC_NODES)
     tw = ts * w1
-    curve = (tw + z0) / (1.0 + np.conj(z0) * tw)
+    curve = _mobius(z0, tw)
     dcurve = w1 * (1.0 - abs(z0) ** 2) / (1.0 + np.conj(z0) * tw) ** 2
     pts = np.stack([curve.real, curve.imag], axis=1)
     a, b = eta.coefficients(pts)
@@ -404,7 +398,7 @@ def geodesic_line_integral(eta: OneForm, z0: complex, z1: complex,
     return float(np.sum(ws * integrand))
 
 
-def gg_u(eta: OneForm, iso: DiskIsotopy, x, p: int, quad_nodes: int = 32) -> float:
+def gg_u(eta: OneForm, iso: DiskIsotopy, x, p: int) -> float:
     """Line integral of eta along the hyperbolic geodesic from x to f^p(x).
 
     For disk-supported isotopies both endpoints stay in one lifted chart.
@@ -412,7 +406,7 @@ def gg_u(eta: OneForm, iso: DiskIsotopy, x, p: int, quad_nodes: int = 32) -> flo
     z0 = _chart_point(iso, x)
     engine = FlowMap(iso.scenario)
     out = engine.evolve(np.array([[z0.real, z0.imag]]), periods=p)
-    return geodesic_line_integral(eta, z0, complex(out[0, 0], out[0, 1]), quad_nodes)
+    return geodesic_line_integral(eta, z0, complex(out[0, 0], out[0, 1]))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .errors import (DegenerateSaddleError, InvariantError, ValidationError)
 LEVEL_CONSTANCY_TOL = 1e-6   # importer rejects fields that vary along a level component
 NODE_CONSISTENCY_TOL = 1e-9  # incident-edge limits of a graph Hamiltonian must agree
 AREA_NORMALIZATION_RTOL = 1e-8
+MORSE_DRAWS, MORSE_WAVES = 60, 4  # random_morse_field: draws before giving up, plane waves per draw
 
 
 # --------------------------------------------------------------------------
@@ -368,8 +369,7 @@ def classify_vertices(mesh: SurfaceMesh, f: MorseField) -> list[str]:
     return _classify(mesh, f)[0]
 
 
-def random_morse_field(mesh: SurfaceMesh, rng: np.random.Generator,
-                       max_tries: int = 60, waves: int = 4) -> MorseField:
+def random_morse_field(mesh: SurfaceMesh, rng: np.random.Generator) -> MorseField:
     """A random smooth field sampled at the vertices, redrawn until PL-Morse.
 
     Low-frequency random plane waves keep the variation across a triangle
@@ -379,9 +379,9 @@ def random_morse_field(mesh: SurfaceMesh, rng: np.random.Generator,
     """
     pts = mesh.vertices
     scale = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)) or 1.0
-    for _ in range(max_tries):
+    for _ in range(MORSE_DRAWS):
         vals = np.zeros(mesh.n_vertices)
-        for _ in range(waves):
+        for _ in range(MORSE_WAVES):
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             freq = rng.uniform(0.5, 2.5) * 2.0 * np.pi / scale
@@ -393,7 +393,7 @@ def random_morse_field(mesh: SurfaceMesh, rng: np.random.Generator,
         except DegenerateSaddleError:
             continue
         return f
-    raise ValidationError(f"no PL-Morse field found in {max_tries} draws")
+    raise ValidationError(f"no PL-Morse field found in {MORSE_DRAWS} draws")
 
 
 def read_morse_csv(text: str, n_vertices: int) -> MorseField:
@@ -557,8 +557,7 @@ class _Comp:
                         source_edges=self.source_edges, h_breakpoints=h_bps)
 
 
-def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
-               field_tol: float = LEVEL_CONSTANCY_TOL) -> ReebGraph:
+def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None) -> ReebGraph:
     """Reeb graph of a PL Morse field by a sorted sweep over vertex levels.
 
     A regular vertex moves its level component past itself in place.  Every
@@ -569,7 +568,7 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
 
     ``sample_field(point) -> float``, when given, is sampled along every
     recorded level component; the samples must be constant on components
-    within ``field_tol`` (the field must commute with f), and the edge-wise
+    within ``LEVEL_CONSTANCY_TOL`` (the field must commute with f), and the edge-wise
     values are stored on ``h_breakpoints`` for later use as a graph
     Hamiltonian.
     """
@@ -672,7 +671,7 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None,
         if not samples:
             return
         spread = max(samples) - min(samples)
-        if spread > field_tol:
+        if spread > LEVEL_CONSTANCY_TOL:
             raise ValidationError(
                 f"sampled field varies by {spread:.3e} on a level component: it does not commute with f")
         comp.h_bps.append((c, float(np.mean(samples))))

@@ -32,6 +32,8 @@ SP_TOL = 1e-8           # Frobenius tolerance on M^T J0 M - J0; reject beyond, n
 LAGRANGIAN_TOL = 1e-8   # relative tolerance on the isotropy condition
 RANK_RTOL = 1e-8        # singular-value ratio used by the transversality test
 REFINE_DEPTH_CAP = 20
+# random_sp_path: exponential segments, generator size, samples per segment
+SP_PATH_SEGMENTS, SP_PATH_MAGNITUDE, SP_PATH_SAMPLES = 3, 0.8, 24
 
 
 def standard_j(n: int) -> np.ndarray:
@@ -336,17 +338,16 @@ def random_lagrangian(n: int, rng: np.random.Generator) -> LagrangianFrame:
     return LagrangianFrame(np.vstack([q.real, q.imag]))
 
 
-def random_sp_path(n: int, rng: np.random.Generator, segments: int = 3,
-                   magnitude: float = 0.8, samples_per_segment: int = 24) -> SpPath:
+def random_sp_path(n: int, rng: np.random.Generator) -> SpPath:
     """A smooth random path: piecewise exponentials of Hamiltonian matrices."""
     j = standard_j(n)
     mats = [np.eye(2 * n)]
-    for _ in range(segments):
+    for _ in range(SP_PATH_SEGMENTS):
         s = rng.standard_normal((2 * n, 2 * n))
-        gen = j @ (s + s.T) * (magnitude / (2 * n))
+        gen = j @ (s + s.T) * (SP_PATH_MAGNITUDE / (2 * n))
         base = mats[-1]
-        for k in range(1, samples_per_segment + 1):
-            mats.append(base @ expm(gen * k / samples_per_segment))
+        for k in range(1, SP_PATH_SAMPLES + 1):
+            mats.append(base @ expm(gen * k / SP_PATH_SAMPLES))
     times = np.linspace(0.0, 1.0, len(mats))
     return SpPath(times, np.stack(mats))
 

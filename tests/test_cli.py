@@ -192,6 +192,7 @@ def malformed_inputs(tmp_path, radial_scenario_file):
 
 @pytest.mark.parametrize("kind, spec", [
     ("tau", {"scenario_file": "scenario.json", "p": "eight", "n_samples": 8, "seed": 1}),
+    ("phi", {"path_file": "loop.json", "p": 8.7}),
     ("tau", {"scenario_file": "bad_dt.json", "p": 2, "n_samples": 8, "seed": 1}),
     ("calabi", {"scenario_file": "scenario.json", "quadrature": {"bogus": 3}}),
     ("calabi", {"scenario_file": "scenario.json", "quadrature": [1, 2]}),
@@ -200,9 +201,9 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     ("tau", {"scenario_file": "scenario.json", "p": 2, "n_samples": 8, "seed": "x"}),
     ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": ["a"]}),
     ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": 5}),
-], ids=["p_not_int", "dt_not_float", "quadrature_bad_key", "quadrature_not_object",
-        "quadrature_bad_value", "genus_not_int", "seed_not_int", "schedule_entry_not_int",
-        "schedule_not_list"])
+], ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
+        "quadrature_not_object", "quadrature_bad_value", "genus_not_int", "seed_not_int",
+        "schedule_entry_not_int", "schedule_not_list"])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)
     out = malformed_inputs / "out"

@@ -339,7 +339,7 @@ def test_tau_integrand_matches_phi_lag_route():
     tangent = np.eye(2)[None].copy()
     tracker = _WindingTracker(1, tangent)
     engine.evolve(np.atleast_2d(x), periods=p, tangent=tangent,
-                  step_hook=lambda s, t, m, nw, tan: tracker.update(tan))
+                  step_hook=lambda s, t, m, v, nw, tan: tracker.update(tan))
     assert via_path == pytest.approx(tracker.turns[0] / p, abs=1e-9)
 
 
@@ -470,28 +470,38 @@ def test_frozen_mask_is_exact(kind):
     f = _FROZEN_CASES[kind]
     pts = np.random.default_rng(5).uniform(-1.3, 1.3, (2000, f.dim))
     mask = f.frozen(pts)
-    assert mask.dtype == bool and mask.shape == (2000,) and not mask.all()
-    # the conjugated kind flags nothing (its BLAS products are not batch-invariant)
-    assert mask.any() == (kind != "conjugated")
+    assert mask.dtype == bool and mask.shape == (2000,) and not mask.all() and mask.any()
     for t in (0.0, 0.3, 0.7):
         grad, hess = f.jet(pts, t, 2)
         assert not grad[mask].any() and not hess[mask].any()
 
 
+@pytest.mark.parametrize("kind", list(_JET_CASES))
+def test_jet_rows_do_not_depend_on_the_batch(kind):
+    """The jet of each one-row slice equals its row of the whole batch, bit for bit."""
+    f = _JET_CASES[kind][0]
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, (2000, f.dim))
+    for t in (0.3, 0.7):
+        grad, hess = f.jet(pts, t, 2)
+        for i in range(2000):
+            row_grad, row_hess = f.jet(pts[i:i + 1], t, 2)
+            assert np.array_equal(row_grad[0], grad[i]) and np.array_equal(row_hess[0], hess[i])
+
+
 def _recorded_evolve(sc, pts, tangent):
-    """evolve over two periods, keeping every hook argument and midpoint velocity."""
+    """evolve over two periods, keeping every hook argument."""
     engine = FlowMap(sc)
     steps = []
 
-    def hook(step, t_mid, mid, new, tan):
-        steps.append((mid.copy(), new.copy(), None if tan is None else tan.copy(),
-                      engine.last_mid_velocity.copy()))
+    def hook(step, t_mid, mid, vel, new, tan):
+        steps.append((mid.copy(), vel.copy(), new.copy(), None if tan is None else tan.copy()))
 
     out = engine.evolve(pts, periods=2, tangent=tangent, step_hook=hook)
     return out if tangent is not None else (out,), steps, engine.max_newton_iters
 
 
-@pytest.mark.parametrize("case", ["bump_hyperbolic", "sum_tangents", "all_frozen"])
+@pytest.mark.parametrize("case", ["bump_hyperbolic", "sum_tangents", "conjugated_tangents",
+                                  "all_frozen"])
 def test_frozen_rows_do_not_change_results(case, monkeypatch):
     rng = np.random.default_rng(17)
     if case == "bump_hyperbolic":
@@ -501,6 +511,8 @@ def test_frozen_rows_do_not_change_results(case, monkeypatch):
         pts, tangent = HyperbolicForm().sample_ball(0.6, 2, 64, rng), None
     else:
         f = SumField([BumpField(0.9, [0.45, 0.0], 0.3), BumpField(-0.6, [-0.45, 0.0], 0.3)])
+        if case == "conjugated_tangents":
+            f = ConjugatedField(f, np.array([[1.2, 0.3], [0.0, 1.0 / 1.2]]))
         sc = HamiltonianScenario(field=f, ball_radius=1.2, support_radius=f.support_radius + 1e-9,
                                  dt=0.01)
         pts = StandardForm().sample_ball(1.0, 2, 64, rng)

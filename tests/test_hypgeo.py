@@ -10,8 +10,8 @@ from qmlab.errors import RefinePathError, ValidationError
 from qmlab.hamflow import (BumpField, HamiltonianScenario, HyperbolicForm,
                            RadialField, calabi, concat_scenarios, integrate_flow)
 from qmlab.hypgeo import (CirclePath, DiskIsotopy, OneForm, UnitDirection,
-                          angle_estimate, cal_s_estimate, circle_index,
-                          concat_circle_paths, fiber_index_spread,
+                          _endpoint_angles, angle_estimate, cal_s_estimate,
+                          circle_index, concat_circle_paths, fiber_index_spread,
                           geodesic_endpoint, gg_quasimorphism_estimate, gg_u,
                           hyperbolic_distance, isotopy_from_json,
                           isotopy_to_json, parallel_transport_rate, theta_lift,
@@ -90,6 +90,16 @@ def test_geodesic_endpoint_mobius_equivariance():
         assert abs(lhs - g(end)) < 1e-10
 
 
+def test_geodesic_endpoint_is_the_batched_kernel():
+    rng = np.random.default_rng(12)
+    n = 20_000
+    z = 0.99 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    psi = rng.uniform(-np.pi, 3 * np.pi, n)
+    batch = _endpoint_angles(z, psi[:, None])[:, 0]
+    scalar = np.array([geodesic_endpoint(UnitDirection(zi, a)) for zi, a in zip(z, psi)])
+    assert np.array_equal(scalar, batch)
+
+
 def test_disk_point_validation():
     with pytest.raises(ValidationError):
         UnitDirection(1.0 + 0j, 0.0)
@@ -111,7 +121,7 @@ def test_transport_batch_matches_scalar():
     for i in range(10):
         scalar = parallel_transport_rate(complex(pts[i, 0], pts[i, 1]),
                                          complex(vel[i, 0], vel[i, 1]))
-        assert batch[i] == pytest.approx(scalar, rel=1e-12)
+        assert batch[i] == scalar
 
 
 def test_holonomy_circle_is_minus_area():
@@ -203,7 +213,7 @@ def test_theta_lift_center_fixed_point_rate():
     # at the origin the transport vanishes: fiber rate is exactly -Htilde(0)
     iso = radial_iso(amplitude=0.9, dt=0.005)
     p = 3
-    path, boundary = theta_lift(iso, UnitDirection(0.0 + 0.0j, 0.3), p=p, lift_stride=1)
+    path, boundary = theta_lift(iso, UnitDirection(0.0 + 0.0j, 0.3), p=p)
     h0 = float(iso.scenario.field.value(np.zeros((1, 2)), 0.0)[0])
     c = iso.mean_zero_constant(0.0)
     expected_turns = -(h0 + c) * p
