@@ -19,23 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import hamflow, hypgeo, reeb, symplectic
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, convert
 from .harness import estimate_defect, homogenize
 
 KINDS = ("phi", "tau", "calabi", "reeb", "cal_s", "defect", "gg")
 STOCHASTIC_KINDS = ("tau", "cal_s", "defect", "gg")
-
-
-def _convert(key: str, value, kind: type):
-    """``kind(value)`` for spec field ``key``; a failed or lossy conversion is a validation error."""
-    try:
-        out = kind(value)
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError("fractional part")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(
-            f"spec field {key!r} is not a valid {kind.__name__}: {value!r}") from exc
-    return out
 
 
 @dataclass(frozen=True)
@@ -63,7 +51,7 @@ class ExperimentSpec:
         seed = seed_override if seed_override is not None else params.get("seed")
         if kind in STOCHASTIC_KINDS and seed is None:
             raise ValidationError(f"kind {kind!r} is stochastic: a seed is mandatory")
-        seed = None if seed is None else _convert("seed", seed, int)
+        seed = None if seed is None else convert("seed", seed, int)
         return cls(kind=kind, params=params, seed=seed, base_dir=path.parent)
 
     def path(self, key: str, required: bool = True) -> Path | None:
@@ -85,7 +73,7 @@ class ExperimentSpec:
     def number(self, key: str, kind: type, default=None):
         """Field ``key`` converted by ``kind``, required when there is no default."""
         value = self.require(key) if default is None else self.params.get(key, default)
-        return _convert(key, value, kind)
+        return convert(key, value, kind)
 
 
 def _write_record(out_dir: Path, kind: str, record: dict) -> Path:
@@ -106,7 +94,7 @@ def _run_phi(spec: ExperimentSpec, out_dir: Path) -> dict:
     samples = None
     if schedule:
         ev = symplectic.PhiEvaluator(path.n, frame)
-        powers = [_convert("p_schedule", q, int) for q in _convert("p_schedule", schedule, list)]
+        powers = [convert("p_schedule", q, int) for q in convert("p_schedule", schedule, list)]
         samples = homogenize(ev, path, powers).samples
         rows = [("p", "phi_over_p")] + [(q, val) for q, val in samples]
         with open(out_dir / "phi_samples.csv", "w", newline="") as fh:
@@ -131,7 +119,7 @@ def _run_calabi(spec: ExperimentSpec, out_dir: Path) -> dict:
     if not isinstance(quad, dict) or not set(quad) <= names:
         raise ValidationError(f"quadrature must be an object with keys among {sorted(names)}")
     rule = hamflow.QuadratureRule(**{
-        k: v if v is None else _convert(f"quadrature.{k}", v, float if k == "radius" else int)
+        k: v if v is None else convert(f"quadrature.{k}", v, float if k == "radius" else int)
         for k, v in quad.items()})
     value = hamflow.calabi(sc, quadrature=rule)
     return {"value": value, "quadrature": {"n_r": rule.n_r, "n_angle": rule.n_angle,

@@ -3,7 +3,9 @@
 Two broad families: :class:`ValidationError` for inputs that violate a
 declared contract (rejected, never repaired) and :class:`NumericalError`
 for failures arising during a computation (refinement caps, Newton
-divergence, violated invariants that signal a bug upstream).
+divergence, violated invariants that signal a bug upstream).  ``convert``
+turns a malformed value from a spec or JSON file into a ValidationError;
+the CLI and the JSON loaders share it.
 """
 
 
@@ -13,6 +15,21 @@ class QmlabError(Exception):
 
 class ValidationError(QmlabError, ValueError):
     """Input violates a declared precondition or schema."""
+
+
+def convert(key: str, value, kind: type, source: str = "spec"):
+    """``kind(value)`` for field ``key`` of ``source``, raising ValidationError on failure.
+
+    A lossy conversion fails too: a float with a fractional part for an int.
+    """
+    try:
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError("fractional part")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"{source} field {key!r} is not a valid {kind.__name__}: {value!r}") from exc
+    return out
 
 
 class NumericalError(QmlabError, RuntimeError):

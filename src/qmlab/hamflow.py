@@ -17,7 +17,11 @@ A new field kind implements ``value`` and ``jet(pts, t, order)``, which
 returns the gradient and, for order 2, the Hessian from one pass over the
 points; ``grad`` and ``hess`` are views of the jet.  Each Newton iterate
 of the midpoint step evaluates one jet, which gives the velocity and the
-linearization together.
+linearization together.  The jet builds its (N, d, d) Hessian batch-last,
+in (d, d, N) memory (``_batch_last``, or ``_batched`` of an entry-major
+array), one whole entry per op, for C- and F-ordered points alike: the
+midpoint loop keeps points, velocities, Newton matrices and tangents in
+that layout, so each of its elementwise ops is one long inner loop.
 
 A kind may also override ``frozen(pts)``, a conservative mask of the rows
 where the gradient and the Hessian are exactly zero at every t (the
@@ -39,7 +43,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import RectBivariateSpline
 
-from .errors import IntegrationError, NumericalError, ValidationError
+from .errors import IntegrationError, NumericalError, ValidationError, convert
 from .symplectic import SpPath, _det2_from_complex, _turn_steps, standard_j
 
 NEWTON_TOL = 1e-12
@@ -49,7 +53,7 @@ ALIAS_GUARD = 0.4        # per-step det^2 phase cap (turns) during online windin
 
 
 # --------------------------------------------------------------------------
-# time profiles
+# point batches
 # --------------------------------------------------------------------------
 
 
@@ -58,6 +62,36 @@ def _sq_norms(pts: np.ndarray) -> np.ndarray:
     if pts.shape[1] == 2:
         return pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
     return np.sum(pts ** 2, axis=1)
+
+
+# Batch-last layout.  A batch of n vectors, matrices or tangent frames has
+# the public shape (n, *shape) but lives in (*shape, n) memory: the batch
+# axis has the smallest stride, so entry [:, i, j] is one contiguous run of
+# n values and an elementwise op on whole entries is one long inner loop
+# (a C-ordered (n, 2, 2) batch runs n loops of 2-4 values instead).
+# ``_entries`` and ``_batched`` are the two views of that memory.
+_TO_ENTRIES = {2: (1, 0), 3: (1, 2, 0)}
+_TO_BATCHED = {2: (1, 0), 3: (2, 0, 1)}
+
+
+def _entries(x: np.ndarray) -> np.ndarray:
+    """The (*shape, n) entry-major view of an (n, *shape) batch."""
+    return x.transpose(_TO_ENTRIES[x.ndim])
+
+
+def _batched(entries: np.ndarray) -> np.ndarray:
+    """The (n, *shape) batch view of (*shape, n) entry-major memory."""
+    return entries.transpose(_TO_BATCHED[entries.ndim])
+
+
+def _batch_last(n: int, shape: tuple) -> np.ndarray:
+    """An uninitialized (n, *shape) batch on (*shape, n) memory, to be filled entry by entry."""
+    return _batched(np.empty((*shape, n)))
+
+
+# --------------------------------------------------------------------------
+# time profiles
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TimeProfile:
@@ -297,7 +331,8 @@ class SeparableField(HamiltonianField):
 
     def jet(self, pts, t, order=1):
         amp = self._time_factor(t)
-        g, hs = self.spatial_jet(pts, order)
+        # batch-last points, so that the Hessian's entries are built contiguous
+        g, hs = self.spatial_jet(pts if order < 2 else np.asfortranarray(pts), order)
         return amp * g, None if hs is None else amp * hs
 
     grad = HamiltonianField.grad
@@ -353,10 +388,11 @@ class RadialField(SeparableField):
         if order < 2:
             return grad, None
         c2 = np.where(inside, 4.0 * _horner(self._d2h, s), 0.0)
-        hess = (c2[:, None] * pts)[:, :, None] * pts[:, None, :]
+        x = pts.T
+        hess = (c2 * x)[:, None] * x[None]  # entry [i, j] = (c2 x_i) x_j
         for i in range(self.dim):
-            hess[:, i, i] += c1
-        return grad, hess
+            hess[i, i] += c1
+        return grad, _batched(hess)
 
     def angular_velocity(self, r, t=0.0, form: SymplecticForm | None = None):
         """Omega(r) = 2 a(t) h'(r^2) / rho(r): the exact rotation rate (2-d)."""
@@ -420,10 +456,13 @@ class BumpField(SeparableField):
         grad = self.amplitude * d1[:, None] * (2.0 / self.radius ** 2) * d
         if order < 2:
             return grad, None
-        outer = d[:, :, None] * d[:, None, :]
-        return grad, self.amplitude * (d2[0][:, None, None] * (4.0 / self.radius ** 4) * outer
-                                       + d1[:, None, None] * (2.0 / self.radius ** 2)
-                                       * np.eye(self.dim))
+        hess = d.T[:, None] * d.T[None]
+        hess *= d2[0] * (4.0 / self.radius ** 4)
+        d1 = d1 * (2.0 / self.radius ** 2)
+        for i in range(self.dim):
+            hess[i, i] += d1
+        hess *= self.amplitude
+        return grad, _batched(hess)
 
     def to_json(self):
         return {"kind": "bump", "amplitude": self.amplitude,
@@ -452,14 +491,20 @@ class _CutoffField(SeparableField):
         grad = gf * b[:, None] + f[:, None] * db[:, None] * dq
         if order < 2:
             return grad, None
-        outer = dq[:, :, None] * dq[:, None, :]
-        cross = gf[:, :, None] * dq[:, None, :]
-        eye = np.eye(self.dim)
-        return grad, (hf[0] * b[:, None, None]
-                      + cross * db[:, None, None] + np.swapaxes(cross, 1, 2) * db[:, None, None]
-                      + f[:, None, None] * (d2b[0][:, None, None] * outer
-                                            + db[:, None, None] * eye
-                                            * (2.0 / self.support_radius ** 2)))
+        # hess f b + (grad f dq^T + dq grad f^T) db + f (d2b dq dq^T + db (2 / R^2) I)
+        hess = _entries(hf[0]) * b
+        cross = gf.T[:, None] * dq.T[None]
+        cross *= db
+        hess += cross
+        hess += cross.transpose(1, 0, 2)
+        outer = dq.T[:, None] * dq.T[None]
+        outer *= d2b[0]
+        db = db * (2.0 / self.support_radius ** 2)
+        for i in range(self.dim):
+            outer[i, i] += db
+        outer *= f
+        hess += outer
+        return grad, _batched(hess)
 
 
 class PolyBumpField(_CutoffField):
@@ -503,8 +548,9 @@ class PolyBumpField(_CutoffField):
         powers = [[1.0] + [pts[:, axis] ** k for k in range(1, self._degree[axis] + 1)]
                   for axis in range(d)]
 
-        def poly(terms):
-            out = np.zeros(n)
+        def poly(terms, out):
+            """Sum the terms into ``out`` (one entry of a batch-last buffer)."""
+            out[...] = 0.0
             for c, ops in terms:
                 term = c
                 for factor, axis, k in ops:
@@ -512,13 +558,16 @@ class PolyBumpField(_CutoffField):
                 out += term
             return out
 
-        out = [poly(self._value_terms)]
+        out = [poly(self._value_terms, np.empty(n))]
         if order >= 1:
-            out.append(np.stack([poly(terms) for terms in self._grad_terms], axis=1))
+            grad = _batch_last(n, (d,))
+            for i, terms in enumerate(self._grad_terms):
+                poly(terms, grad[:, i])
+            out.append(grad)
         if order >= 2:
-            hess = np.empty((n, d, d))
+            hess = _batch_last(n, (d, d))
             for (i, j), terms in self._hess_terms.items():
-                hess[:, i, j] = hess[:, j, i] = poly(terms)
+                hess[:, j, i] = poly(terms, hess[:, i, j])
             out.append(hess)
         return out
 
@@ -548,9 +597,11 @@ class GridField(_CutoffField):
         ev = lambda dx, dy: self._spline.ev(x, y, dx=dx, dy=dy)
         out = [ev(0, 0)]
         if order >= 1:
-            out.append(np.stack([ev(1, 0), ev(0, 1)], axis=1))
+            grad = _batch_last(pts.shape[0], (2,))
+            grad[:, 0], grad[:, 1] = ev(1, 0), ev(0, 1)
+            out.append(grad)
         if order >= 2:
-            hess = np.empty((pts.shape[0], 2, 2))
+            hess = _batch_last(pts.shape[0], (2, 2))
             hess[:, 0, 0] = ev(2, 0)
             hess[:, 0, 1] = hess[:, 1, 0] = ev(1, 1)
             hess[:, 1, 1] = ev(0, 2)
@@ -656,8 +707,10 @@ class ConjugatedField(HamiltonianField):
         A plain ``pts @ g_inv.T`` takes another BLAS kernel for one row
         than for a batch, and the two round differently; a stacked product
         rounds each row alike in any batch (so does the gradient's below).
+        The rows come out batch-last.
         """
-        return (pts[:, None, :] @ self.g_inv.T)[:, 0]
+        out = _batch_last(len(pts), (1, self.dim))
+        return np.matmul(pts[:, None, :], self.g_inv.T, out=out)[:, 0]
 
     def value(self, pts, t):
         return self.base.value(self._pull_back(pts), t)
@@ -665,8 +718,10 @@ class ConjugatedField(HamiltonianField):
     def jet(self, pts, t, order=1):
         g, hs = self.base.jet(self._pull_back(pts), t, order)
         if hs is not None:
-            hs = np.einsum("ki,nkl,lj->nij", self.g_inv, hs, self.g_inv)
-        return (g[:, None, :] @ self.g_inv)[:, 0], hs
+            hs = np.einsum("ki,nkl,lj->nij", self.g_inv, hs, self.g_inv,
+                           out=_batch_last(len(hs), (self.dim, self.dim)))
+        grad = _batch_last(len(g), (1, self.dim))
+        return np.matmul(g[:, None, :], self.g_inv, out=grad)[:, 0], hs
 
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
@@ -684,19 +739,23 @@ class ConjugatedField(HamiltonianField):
 
 
 def field_from_json(data: dict, support_radius: float | None = None) -> HamiltonianField:
+    def integer(key, default):
+        return convert(key, data.get(key, default), int, "Hamiltonian JSON")
+
     try:
         kind = data["kind"]
         time = TimeProfile.from_json(data.get("time"))
         if kind == "radial":
             return RadialField(data["profile"],
                                data.get("support_radius", support_radius),
-                               data.get("bump_power", 3), time, data.get("dim", 2))
+                               integer("bump_power", 3), time, integer("dim", 2))
         if kind == "bump":
             return BumpField(data["amplitude"], data["center"], data["radius"], time)
         if kind == "poly":
-            return PolyBumpField(data["monomials"],
-                                 data.get("support_radius", support_radius),
-                                 time, data.get("dim", 2))
+            monomials = [([convert("monomials", e, int, "Hamiltonian JSON") for e in exps], c)
+                         for exps, c in data["monomials"]]
+            return PolyBumpField(monomials, data.get("support_radius", support_radius),
+                                 time, integer("dim", 2))
         if kind == "grid":
             return GridField(data["x0"], data["x1"], data["values"],
                              data.get("support_radius", support_radius), time)
@@ -710,6 +769,10 @@ def field_from_json(data: dict, support_radius: float | None = None) -> Hamilton
                                    np.asarray(data["g"], dtype=float))
     except KeyError as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: missing {exc}") from exc
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
     raise ValidationError(f"unknown Hamiltonian kind {data.get('kind')!r}")
 
 
@@ -854,26 +917,52 @@ def conjugate_scenario(sc: HamiltonianScenario, g: np.ndarray) -> HamiltonianSce
 # the integrator
 # --------------------------------------------------------------------------
 
+def _matmul_entries(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products of entry-major stacks: (d, m, n) times (m, k, n) gives (d, k, n).
+
+    ``np.matmul`` on the batch views, not a sum of entry products: matmul
+    rounds each a x + b y with a fused multiply-add, which no elementwise
+    numpy op reproduces, so the tangents keep their rounding.
+    """
+    out = np.empty((a.shape[0], b.shape[1], a.shape[-1]))
+    np.matmul(_batched(a), _batched(b), out=_batched(out))
+    return out
+
+
 def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched linear solve; closed form for the dominant 2x2 case."""
-    if mats.shape[-1] == 2:
-        a, b = mats[..., 0, 0], mats[..., 0, 1]
-        c, d = mats[..., 1, 0], mats[..., 1, 1]
+    """Batched linear solve on entry-major arrays: mats (d, d, n), rhs (d, n) or (d, k, n).
+
+    Closed form for the dominant 2x2 case, one whole entry per op.
+    """
+    if mats.shape[0] == 2:
+        a, b = mats[0, 0], mats[0, 1]
+        c, d = mats[1, 0], mats[1, 1]
         det = a * d - b * c
-        if rhs.ndim == mats.ndim - 1:
-            out = np.empty_like(rhs)
-            out[..., 0] = (d * rhs[..., 0] - b * rhs[..., 1]) / det
-            out[..., 1] = (-c * rhs[..., 0] + a * rhs[..., 1]) / det
+        if rhs.ndim == 2:
+            out = np.empty(rhs.shape)
+            out[0] = (d * rhs[0] - b * rhs[1]) / det
+            out[1] = (-c * rhs[0] + a * rhs[1]) / det
             return out
-        inv = np.empty_like(mats)
-        inv[..., 0, 0] = d
-        inv[..., 0, 1] = -b
-        inv[..., 1, 0] = -c
-        inv[..., 1, 1] = a
-        return inv @ rhs / det[..., None, None]
-    if rhs.ndim == mats.ndim - 1:
-        return np.linalg.solve(mats, rhs[..., None])[..., 0]
-    return np.linalg.solve(mats, rhs)
+        inv = np.empty(mats.shape)
+        inv[0, 0] = d
+        inv[0, 1] = -b
+        inv[1, 0] = -c
+        inv[1, 1] = a
+        out = _matmul_entries(inv, rhs)
+        out /= det
+        return out
+    if rhs.ndim == 2:
+        return np.ascontiguousarray(np.linalg.solve(_batched(mats), rhs.T[..., None])[..., 0].T)
+    return np.ascontiguousarray(_entries(np.linalg.solve(_batched(mats), _batched(rhs))))
+
+
+def _apply_j(x: np.ndarray) -> np.ndarray:
+    """J0 = [[0, -I], [I, 0]] applied to the leading axis of entry-major vectors or matrices."""
+    n = x.shape[0] // 2
+    out = np.empty(x.shape)
+    np.negative(x[n:], out=out[:n])
+    out[n:] = x[:n]
+    return out
 
 
 class FlowMap:
@@ -884,49 +973,40 @@ class FlowMap:
     Hamiltonian is 1-periodic in time by convention).  A period runs over
     t in [0, span), in about span / dt equal steps; ``span`` below 1 is a
     fractional leg of the flow.
+
+    Inside the loop every array is entry-major (batch last): points and
+    velocities (d, n), linearizations and Newton matrices (d, d, n),
+    tangents (d, k, n).
     """
 
     def __init__(self, sc: HamiltonianScenario, span: float = 1.0):
         self.sc = sc
         self.steps_per_period = max(1, round(span / sc.dt))
         self.h = span / self.steps_per_period
-        self._j = standard_j(sc.dim // 2)
-        self._eye = np.eye(sc.dim)
+        self._eye = np.eye(sc.dim)[:, :, None]  # broadcasts over the batch axis
         self.max_newton_iters = 0
         self._standard = sc.form.kind == "standard"
 
-    def _apply_j(self, x: np.ndarray) -> np.ndarray:
-        """J0 applied along axis 1 of a batch of vectors or matrices; hand-rolled in 2-d."""
-        if x.shape[1] == 2:
-            out = np.empty_like(x)
-            out[:, 0] = -x[:, 1]
-            out[:, 1] = x[:, 0]
-            return out
-        return np.einsum("ij,nj...->ni...", self._j, x)
-
-    def _field_jet(self, pts, t, order):
-        """X_H = J0 grad H / rho and, for order 2, its linearization DX_H (else None).
+    def _field_jet(self, x, t, order):
+        """X_H = J0 grad H / rho at entry-major points x (d, n), and for order 2 DX_H (else None).
 
         One field jet serves both, so the density form's rho and grad rho
         are evaluated once per call.
         """
+        pts = x.T
         g, m = self.sc.field.jet(pts, t, order)
+        vel, lin = g.T, None if m is None else _entries(m)
         if not self._standard:
-            if m is None:
+            if lin is None:
                 rho = self.sc.form.rho(pts)
             else:
                 rho, grad_rho = self.sc.form.rho_jet(pts)
-                m = (m / rho[:, None, None]
-                     - g[:, :, None] * grad_rho[:, None, :]
-                     / (rho ** 2)[:, None, None])
-            g = g / rho[:, None]
-        return self._apply_j(g), None if m is None else self._apply_j(m)
+                lin = lin / rho - vel[:, None] * grad_rho.T[None] / rho ** 2
+            vel = vel / rho
+        return _apply_j(vel), None if lin is None else _apply_j(lin)
 
-    def vector_field(self, pts, t):
-        return self._field_jet(pts, t, 1)[0]
-
-    def _step(self, pts, t_mid, tol):
-        """One midpoint step of ``pts``: new points, midpoint velocity and DX_H there.
+    def _step(self, x, t_mid, tol):
+        """One midpoint step of entry-major points x: new points, midpoint velocity and DX_H there.
 
         Every Newton iterate evaluates the velocity and its linearization
         together; the converged iterate's linearization is the one the
@@ -934,10 +1014,10 @@ class FlowMap:
         is below ``tol``.
         """
         h = self.h
-        w = pts + h * self.vector_field(pts, t_mid)
+        w = x + h * self._field_jet(x, t_mid, 1)[0]
         for it in range(NEWTON_MAX_ITER):
-            vel, a_mid = self._field_jet(0.5 * (pts + w), t_mid, 2)
-            resid = w - pts - h * vel
+            vel, a_mid = self._field_jet(0.5 * (x + w), t_mid, 2)
+            resid = w - x - h * vel
             if np.abs(resid).max() < tol:
                 self.max_newton_iters = max(self.max_newton_iters, it)
                 return w, vel, a_mid
@@ -949,7 +1029,8 @@ class FlowMap:
 
         ``step_hook(step_index, t_mid, mid_pts, mid_vel, new_pts, tangent)``
         runs after every accepted step; ``mid_vel`` is the converged
-        midpoint velocity of that step.
+        midpoint velocity of that step.  The hook's arrays and the returned
+        points (n, d) and tangents (n, d, k) are batch-last views.
 
         Only the rows that the field's ``frozen`` mask leaves are stepped.
         A frozen row keeps its point (mid = new = start), has velocity 0
@@ -957,40 +1038,61 @@ class FlowMap:
         from the whole batch, and a frozen row's residual is exactly 0, so
         no output depends on the mask.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float)).copy()
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if np.any(np.linalg.norm(pts, axis=1) > self.sc.ball_radius * (1 + 1e-12)):
             raise ValidationError("initial points must lie in the ball")
+        n = len(pts)
         frozen = self.sc.field.frozen(pts)
-        # a basic slice indexes without copying, so a batch with no frozen row skips the gather
-        live = np.flatnonzero(~frozen) if frozen.any() else slice(None)
-        stepped = not frozen.all()
+        cur = np.array(pts.T)  # (d, n), a fresh copy
         if tangent is not None:
-            # one fresh (n, d, k) stack, so that rows can be gathered and scattered
-            tangent = np.broadcast_to(tangent, (len(pts),) + np.shape(tangent)[-2:]).copy()
+            tangent = np.array(_entries(np.broadcast_to(tangent, (n,) + np.shape(tangent)[-2:])))
+        live = np.flatnonzero(~frozen) if frozen.any() else None
+        if live is not None:
+            # flat positions of the live columns in the (d, n) points and (d, k, n)
+            # tangents, keyed by array size (equal sizes have equal positions)
+            spots = {a.size: (np.arange(a.size // n)[:, None] * n + live).ravel()
+                     for a in (cur, tangent) if a is not None}
+
+        def rows(a):
+            """The live columns of an entry-major array (``a`` itself when all rows are live)."""
+            return a if live is None else a.take(live, axis=-1)
+
+        def merge(full, part):
+            """A copy of ``full`` with its live columns set to ``part``."""
+            out = full.copy()
+            out.reshape(-1)[spots[out.size]] = part.reshape(-1)
+            return out
+
+        stepped = not frozen.all()
         half = 0.5 * self.h
         total = periods * self.steps_per_period
         for step in range(total):
             t_mid = (step % self.steps_per_period) * self.h + half
-            tol = NEWTON_TOL * (1.0 + np.abs(pts).max())
-            new, vel = pts.copy(), np.zeros_like(pts)
-            if stepped:
+            tol = NEWTON_TOL * (1.0 + np.abs(cur).max())
+            if not stepped:
+                new, vel = cur.copy(), np.zeros_like(cur)
+            else:
                 try:
-                    new[live], vel[live], a_mid = self._step(pts[live], t_mid, tol)
+                    new, vel, a_mid = self._step(rows(cur), t_mid, tol)
                 except IntegrationError as exc:
                     raise IntegrationError(
                         step, f"integrator failed at step {step}: {exc}") from exc
                 if tangent is not None:
-                    tangent = tangent.copy()
-                    tangent[live] = self._cayley(a_mid) @ tangent[live]
+                    moved = self._cayley(a_mid, rows(tangent))
+                    tangent = moved if live is None else merge(tangent, moved)
+                if live is not None:
+                    new, vel = merge(cur, new), merge(np.zeros_like(cur), vel)
             if step_hook is not None:
-                step_hook(step, t_mid, 0.5 * (pts + new), vel, new, tangent)
-            pts = new
-        return (pts, tangent) if tangent is not None else pts
+                step_hook(step, t_mid, (0.5 * (cur + new)).T, vel.T, new.T,
+                          None if tangent is None else _batched(tangent))
+            cur = new
+        return (cur.T, _batched(tangent)) if tangent is not None else cur.T
 
-    def _cayley(self, a_mid):
-        """(I - h/2 A)^{-1} (I + h/2 A): the tangent map of one midpoint step."""
+    def _cayley(self, a_mid, tangent):
+        """(I - h/2 A)^{-1} (I + h/2 A) tangent: the tangent map of one midpoint step, applied."""
         half = 0.5 * self.h
-        return _solve_batch(self._eye - half * a_mid, self._eye + half * a_mid)
+        return _matmul_entries(_solve_batch(self._eye - half * a_mid, self._eye + half * a_mid),
+                               tangent)
 
 
 def integrate_flow(sc: HamiltonianScenario, x0, t: float):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, RefinePathError, ValidationError
+from .errors import NumericalError, RefinePathError, ValidationError, convert
 from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _unit_gauss_legendre,
                       scenario_from_json, scenario_to_json)
 
@@ -180,12 +180,12 @@ def isotopy_to_json(iso: DiskIsotopy) -> dict:
 
 def isotopy_from_json(data: dict) -> DiskIsotopy:
     try:
-        genus = int(data["genus"])
-        disk_area = float(data["disk_area"])
+        genus = convert("genus", data["genus"], int, "DiskIsotopy JSON")
+        disk_area = convert("disk_area", data["disk_area"], float, "DiskIsotopy JSON")
         scenario = data["scenario"]
     except KeyError as exc:
         raise ValidationError(f"malformed DiskIsotopy JSON: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ValidationError(f"malformed DiskIsotopy JSON: {exc}") from exc
     return DiskIsotopy(scenario=scenario_from_json(scenario), genus=genus, disk_area=disk_area)
 

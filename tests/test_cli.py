@@ -179,13 +179,22 @@ def test_malformed_spec_exits_2(tmp_path):
 
 @pytest.fixture()
 def malformed_inputs(tmp_path, radial_scenario_file):
-    """A scenario with "dt": "fast", an isotopy with "genus": "two", and a valid loop."""
-    write_json(tmp_path / "bad_dt.json",
-               dict(json.loads(radial_scenario_file.read_text()), dt="fast"))
+    """Scenarios and isotopies with one malformed value each, and a valid loop.
+
+    Scenarios: "dt": "fast"; in H, "bump_power": 3.5, "dim": 2.5, or a bump
+    with "amplitude": "x".  Isotopies: "genus": "two" and "genus": 2.9.
+    """
+    radial = json.loads(radial_scenario_file.read_text())
+    write_json(tmp_path / "bad_dt.json", dict(radial, dt="fast"))
+    for name, edit in (("bump_power", {"bump_power": 3.5}), ("dim", {"dim": 2.5}),
+                       ("amplitude", {"kind": "bump", "amplitude": "x", "center": [0.1, 0.0],
+                                      "radius": 0.5})):
+        write_json(tmp_path / f"bad_{name}.json", dict(radial, H=dict(radial["H"], **edit)))
     sc = HamiltonianScenario(field=RadialField([0.5], support_radius=0.4), ball_radius=0.55,
                              support_radius=0.4, dt=0.01, form=HyperbolicForm())
-    write_json(tmp_path / "bad_genus.json",
-               {"scenario": scenario_to_json(sc), "genus": "two", "disk_area": 0.6})
+    for name, genus in (("bad_genus", "two"), ("fractional_genus", 2.9)):
+        write_json(tmp_path / f"{name}.json",
+                   {"scenario": scenario_to_json(sc), "genus": genus, "disk_area": 0.6})
     write_json(tmp_path / "loop.json", path_to_json(full_rotation_loop()))
     return tmp_path
 
@@ -201,9 +210,14 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     ("tau", {"scenario_file": "scenario.json", "p": 2, "n_samples": 8, "seed": "x"}),
     ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": ["a"]}),
     ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": 5}),
+    ("calabi", {"scenario_file": "bad_bump_power.json"}),
+    ("calabi", {"scenario_file": "bad_dim.json"}),
+    ("calabi", {"scenario_file": "bad_amplitude.json"}),
+    ("cal_s", {"isotopy_file": "fractional_genus.json", "p": 2, "n_points": 8, "seed": 1}),
 ], ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
         "quadrature_not_object", "quadrature_bad_value", "genus_not_int", "seed_not_int",
-        "schedule_entry_not_int", "schedule_not_list"])
+        "schedule_entry_not_int", "schedule_not_list", "bump_power_fractional",
+        "field_dim_fractional", "amplitude_not_float", "genus_fractional"])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)
     out = malformed_inputs / "out"

@@ -488,6 +488,19 @@ def test_jet_rows_do_not_depend_on_the_batch(kind):
             assert np.array_equal(row_grad[0], grad[i]) and np.array_equal(row_hess[0], hess[i])
 
 
+@pytest.mark.parametrize("kind", list(_JET_CASES))
+def test_jet_layout(kind):
+    """C- and F-ordered points give the same jet bits, and the Hessian is batch-last."""
+    f = _JET_CASES[kind][0]
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (50, f.dim))
+    for t in (0.3, 0.7):
+        grad, hess = f.jet(pts, t, 2)
+        grad_f, hess_f = f.jet(np.asfortranarray(pts), t, 2)
+        assert np.array_equal(grad, grad_f) and np.array_equal(hess, hess_f)
+        for h in (hess, hess_f):
+            assert h.shape == (50, f.dim, f.dim) and h.strides[0] == h.itemsize == min(h.strides)
+
+
 def _recorded_evolve(sc, pts, tangent):
     """evolve over two periods, keeping every hook argument."""
     engine = FlowMap(sc)
@@ -551,6 +564,35 @@ def test_tangent_stack_with_frozen_rows():
     _, kept = FlowMap(sc).evolve(still, tangent=cols[:len(still)])
     assert np.array_equal(kept, cols[:len(still)]) and kept.flags.writeable
     assert not np.shares_memory(kept, cols)
+
+
+@pytest.mark.parametrize("case", ["radial_all_live", "sum_some_frozen"])
+def test_evolve_layout(case):
+    """C- and F-ordered inputs give equal outputs and hook arguments, all of them batch-last."""
+    rng = np.random.default_rng(29)
+    if case == "radial_all_live":
+        sc, radius = radial_scenario(dt=0.02), 0.9
+    else:
+        f = SumField([BumpField(0.9, [0.45, 0.0], 0.3), BumpField(-0.6, [-0.45, 0.0], 0.3)])
+        sc = HamiltonianScenario(field=f, ball_radius=1.2,
+                                 support_radius=f.support_radius + 1e-9, dt=0.02)
+        radius = 1.0
+    pts = StandardForm().sample_ball(radius, 2, 40, rng)
+    assert sc.field.frozen(pts).any() == (case == "sum_some_frozen")
+    tangent = rng.normal(size=(40, 2, 3))
+    batch_last = np.moveaxis(np.moveaxis(tangent, 0, -1).copy(), -1, 0)
+    (out, tan), steps, iters = _recorded_evolve(sc, pts, tangent)
+    (out_f, tan_f), steps_f, iters_f = _recorded_evolve(sc, np.asfortranarray(pts), batch_last)
+    assert iters == iters_f and len(steps) == len(steps_f) == 100
+    assert np.array_equal(out, out_f) and np.array_equal(tan, tan_f)
+    for step, step_f in zip(steps, steps_f):
+        for a, b in zip(step, step_f):
+            assert np.array_equal(a, b)
+    engine = FlowMap(sc)
+    arrays = []
+    engine.evolve(pts, tangent=tangent, step_hook=lambda s, t, *args: arrays.extend(args))
+    for a in arrays + list(engine.evolve(pts, tangent=tangent)):
+        assert a.strides[0] == a.itemsize == min(a.strides)
 
 
 def test_scenario_json_roundtrip():
