@@ -121,9 +121,8 @@ def _run_calabi(spec: ExperimentSpec, out_dir: Path) -> dict:
     rule = hamflow.QuadratureRule(**{
         k: v if v is None else convert(f"quadrature.{k}", v, float if k == "radius" else int)
         for k, v in quad.items()})
-    value = hamflow.calabi(sc, quadrature=rule)
-    return {"value": value, "quadrature": {"n_r": rule.n_r, "n_angle": rule.n_angle,
-                                           "n_t": rule.n_t}, "dt": sc.dt}
+    return {"value": hamflow.calabi(sc, quadrature=rule), "quadrature": rule.used_by(sc),
+            "dt": sc.dt}
 
 
 def _run_reeb(spec: ExperimentSpec, out_dir: Path) -> dict:

@@ -13,15 +13,18 @@ for the standard form dx ^ dy (CCW rotation for increasing radial
 profiles); 2-d scenarios may carry a radial density rho, in which case
 X_H = J0 grad H / rho.
 
-A new field kind implements ``value`` and ``jet(pts, t, order)``, which
+A new field kind implements ``value``, ``jet(pts, t, order)``, which
 returns the gradient and, for order 2, the Hessian from one pass over the
-points; ``grad`` and ``hess`` are views of the jet.  Each Newton iterate
-of the midpoint step evaluates one jet, which gives the velocity and the
-linearization together.  The jet builds its (N, d, d) Hessian batch-last,
-in (d, d, N) memory (``_batch_last``, or ``_batched`` of an entry-major
-array), one whole entry per op, for C- and F-ordered points alike: the
-midpoint loop keeps points, velocities, Newton matrices and tangents in
-that layout, so each of its elementwise ops is one long inner loop.
+points (``grad`` and ``hess`` are views of the jet), and ``separate(pts, ts)``,
+its split H = sum_k a_k(t) h_k into time factors at the times ts and spatial
+gradients, from which ``calabi`` integrates each term in one spatial pass.
+Each Newton iterate of the midpoint step evaluates one jet, which gives the
+velocity and the linearization together.  The jet builds its (N, d, d)
+Hessian batch-last, in (d, d, N) memory (``_batch_last``, or ``_batched`` of
+an entry-major array), one whole entry per op, for C- and F-ordered points
+alike: the midpoint loop keeps points, velocities, Newton matrices and
+tangents in that layout, so each of its elementwise ops is one long inner
+loop.
 
 A kind may also override ``frozen(pts)``, a conservative mask of the rows
 where the gradient and the Hessian are exactly zero at every t (the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 
@@ -118,11 +122,24 @@ class TimeProfile:
 
     @classmethod
     def from_json(cls, data):
+        """The profile of a ``time`` object; a malformed one raises ValidationError."""
         if data is None:
             return cls()
-        return cls(poly=tuple(data.get("poly", (1.0,))),
-                   cos=tuple(tuple(p) for p in data.get("cos", ())),
-                   sin=tuple(tuple(p) for p in data.get("sin", ())))
+        source = "time profile"
+        if not isinstance(data, dict):
+            raise ValidationError(f"{source} must be an object, got {data!r}")
+
+        def entries(key, default):
+            return convert(key, data.get(key, default), list, source)
+
+        def pair(key, p):
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise ValidationError(f"{source} field {key!r} takes [amplitude, k] pairs: {p!r}")
+            return convert(key, p[0], float, source), convert(key, p[1], int, source)
+
+        return cls(poly=tuple(convert("poly", c, float, source) for c in entries("poly", (1.0,))),
+                   cos=tuple(pair("cos", p) for p in entries("cos", ())),
+                   sin=tuple(pair("sin", p) for p in entries("sin", ())))
 
 
 # --------------------------------------------------------------------------
@@ -267,8 +284,8 @@ class HamiltonianField(ABC):
 
     All evaluations are vectorized over points (N, dim).  The field and its
     gradient vanish identically for |z| >= support_radius.  A field kind
-    implements ``value`` and ``jet``; ``grad`` and ``hess`` are views of the
-    jet, so each kind keeps its derivative formulas in one place.
+    implements ``value``, ``jet`` and ``separate``; ``grad`` and ``hess`` are
+    views of the jet, so each kind keeps its derivative formulas in one place.
     """
 
     dim: int
@@ -290,6 +307,10 @@ class HamiltonianField(ABC):
     def frozen(self, pts: np.ndarray) -> np.ndarray:
         """Rows where the gradient and Hessian are exactly zero at every t (conservative)."""
         return _sq_norms(pts) >= self.support_radius ** 2
+
+    @abstractmethod
+    def separate(self, pts: np.ndarray, ts: np.ndarray) -> list:
+        """H = sum_k a_k(t) h_k as [(a_k(ts), grad h_k(pts)), ...]: one spatial pass per term."""
 
     @abstractmethod
     def space_integral(self, form: SymplecticForm, t: float) -> float:
@@ -338,14 +359,16 @@ class SeparableField(HamiltonianField):
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
 
+    def separate(self, pts, ts):
+        return [(self.time(ts), self.spatial_jet(pts)[0])]
+
     def space_integral(self, form, t):
         key = form.kind
         if key not in self._spatial_cache:
             if self.dim != 2:
                 raise ValidationError("space_integral implemented for 2-d fields")
-            pts, w = _ball_nodes(form, 2, QuadratureRule(n_r=160, n_angle=128),
-                                 self.support_radius)
-            self._spatial_cache[key] = float(np.sum(w * self.spatial_value(pts)))
+            pts, w = _ball_nodes(2, QuadratureRule(n_r=160, n_angle=128), self.support_radius)
+            self._spatial_cache[key] = float(np.sum(w * form.rho(pts) * self.spatial_value(pts)))
         return self._time_factor(t) * self._spatial_cache[key]
 
 
@@ -641,6 +664,9 @@ class SumField(HamiltonianField):
     def frozen(self, pts):
         return np.logical_and.reduce([p.frozen(pts) for p in self.parts])
 
+    def separate(self, pts, ts):
+        return [term for p in self.parts for term in p.separate(pts, ts)]
+
     def space_integral(self, form, t):
         return sum(p.space_integral(form, t) for p in self.parts)
 
@@ -682,6 +708,14 @@ class ConcatField(HamiltonianField):
     def frozen(self, pts):
         return self.first.frozen(pts) & self.second.frozen(pts)
 
+    def separate(self, pts, ts):
+        u = np.asarray(ts, dtype=float) % 1.0
+        first = u < 0.5  # the split of _piece
+        return [(np.where(mask, 2.0 * a, 0.0), g)
+                for part, s, mask in ((self.first, 2.0 * u, first),
+                                      (self.second, 2.0 * u - 1.0, ~first))
+                for a, g in part.separate(pts, s)]
+
     def space_integral(self, form, t):
         f, s = self._piece(t)
         return 2.0 * f.space_integral(form, s)
@@ -712,6 +746,11 @@ class ConjugatedField(HamiltonianField):
         out = _batch_last(len(pts), (1, self.dim))
         return np.matmul(pts[:, None, :], self.g_inv.T, out=out)[:, 0]
 
+    def _push_forward(self, grad):
+        """The gradient of H o g^{-1} from the base's gradient at the pulled-back points."""
+        out = _batch_last(len(grad), (1, self.dim))
+        return np.matmul(grad[:, None, :], self.g_inv, out=out)[:, 0]
+
     def value(self, pts, t):
         return self.base.value(self._pull_back(pts), t)
 
@@ -720,14 +759,16 @@ class ConjugatedField(HamiltonianField):
         if hs is not None:
             hs = np.einsum("ki,nkl,lj->nij", self.g_inv, hs, self.g_inv,
                            out=_batch_last(len(hs), (self.dim, self.dim)))
-        grad = _batch_last(len(g), (1, self.dim))
-        return np.matmul(g[:, None, :], self.g_inv, out=grad)[:, 0], hs
+        return self._push_forward(g), hs
 
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
 
     def frozen(self, pts):
         return self.base.frozen(self._pull_back(pts))
+
+    def separate(self, pts, ts):
+        return [(a, self._push_forward(g)) for a, g in self.base.separate(self._pull_back(pts), ts)]
 
     def space_integral(self, form, t):
         if form.kind != "standard":
@@ -1181,7 +1222,8 @@ class QuadratureRule:
 
     The default angular resolution is sized so that fields supported away
     from the origin (whose sharp features cut across the polar grid) still
-    integrate to well below 1e-6.
+    integrate to well below 1e-6.  ``radius`` None means the scenario's
+    support radius; node counts are integers >= 1.
     """
 
     radius: float | None = None
@@ -1189,6 +1231,24 @@ class QuadratureRule:
     n_angle: int = 256
     n_t: int = 24
     n_axis: int = 16
+
+    def __post_init__(self):
+        for key in ("n_r", "n_angle", "n_t", "n_axis"):
+            n = getattr(self, key)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValidationError(f"quadrature {key} must be an integer >= 1, got {n!r}")
+        r = self.radius
+        if r is not None and not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+            raise ValidationError(f"quadrature radius must be finite and > 0, got {r!r}")
+
+    def domain_radius(self, sc: HamiltonianScenario) -> float:
+        """The radius of the ball the rule covers for ``sc``."""
+        return self.radius if self.radius is not None else sc.support_radius
+
+    def used_by(self, sc: HamiltonianScenario) -> dict:
+        """The radius and the node counts that ``calabi(sc)`` applies with this rule."""
+        counts = ("n_r", "n_angle", "n_t") if sc.dim == 2 else ("n_axis", "n_t")
+        return {"radius": self.domain_radius(sc), **{k: getattr(self, k) for k in counts}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1200,7 +1260,8 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _ball_nodes(form: SymplecticForm, dim: int, rule: QuadratureRule, radius: float):
+def _ball_nodes(dim: int, rule: QuadratureRule, radius: float):
+    """Nodes and euclidean (Lebesgue) weights of the rule on the ball of ``radius``."""
     if dim == 2:
         u, wu = _unit_gauss_legendre(rule.n_r)
         r = radius * u
@@ -1209,36 +1270,36 @@ def _ball_nodes(form: SymplecticForm, dim: int, rule: QuadratureRule, radius: fl
         rr, aa = np.meshgrid(r, ang, indexing="ij")
         pts = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
         w = np.repeat(wr * r, rule.n_angle) * (2.0 * np.pi / rule.n_angle)
-        return pts, w * form.rho(pts)
+        return pts, w
     u, wu = _unit_gauss_legendre(rule.n_axis)
     side = 2.0 * radius  # the cube [-radius, radius]^dim
     grids = np.meshgrid(*[side * u - radius] * dim, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     w = functools.reduce(np.multiply.outer, [side * wu] * dim).ravel()
     keep = np.linalg.norm(pts, axis=1) <= radius
-    return pts[keep], (w * form.rho(pts))[keep]
+    return pts[keep], w[keep]
 
 
 def calabi(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
            quadrature: QuadratureRule | None = None) -> float:
-    """The Calabi value: the double integral of lambda(Z_t) over ball and time."""
+    """The Calabi value: the double integral of lambda(X_H) rho over ball and time.
+
+    With X_H = J0 grad H / rho the density cancels, leaving <lambda J0, grad H>
+    against euclidean weights.  That is linear in H = sum_k a_k(t) h_k
+    (``separate``), so the time rule acts on each a_k and each term takes
+    one spatial pass over the nodes.
+    """
     rule = quadrature or QuadratureRule()
-    radius = rule.radius if rule.radius is not None else sc.support_radius
+    radius = rule.domain_radius(sc)
     if radius < sc.support_radius:
         raise ValidationError("quadrature domain smaller than the support")
     if radius > sc.ball_radius:
         raise ValidationError("quadrature domain exceeds the ball")
     prim = primitive or sc.primitive()
-    pts, w = _ball_nodes(sc.form, sc.dim, rule, radius)
+    pts, w = _ball_nodes(sc.dim, rule, radius)
+    lam_j = (prim.covector(pts) @ standard_j(sc.dim // 2)) * w[:, None]
     ts, wt = _unit_gauss_legendre(rule.n_t)
-    rho = sc.form.rho(pts)
-    j = standard_j(sc.dim // 2)
-    cov = prim.covector(pts)
-    total = 0.0
-    for t, w_t in zip(ts, wt):
-        z = (sc.field.grad(pts, float(t)) @ j.T) / rho[:, None]
-        total += w_t * float(np.sum(w * np.sum(cov * z, axis=1)))
-    return total
+    return sum(float(wt @ a) * float(np.sum(lam_j * g)) for a, g in sc.field.separate(pts, ts))
 
 
 @dataclass(frozen=True)

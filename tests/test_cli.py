@@ -98,6 +98,16 @@ def test_calabi_kind(tmp_path, radial_scenario_file):
     assert code == 0
     record = json.loads((tmp_path / "out" / "calabi_result.json").read_text())
     assert record["result"]["value"] == pytest.approx(-0.6 * np.pi / 4, abs=1e-4)
+    assert record["result"]["quadrature"] == {"radius": 1.0, "n_r": 192, "n_angle": 256,
+                                              "n_t": 24}
+    f4 = RadialField([0.6], support_radius=1.0, dim=4)
+    sc4 = HamiltonianScenario(field=f4, ball_radius=1.2, support_radius=1.0, dt=0.02)
+    write_json(tmp_path / "scenario4.json", scenario_to_json(sc4))
+    spec = write_json(tmp_path / "spec4.json", {"scenario_file": "scenario4.json",
+                                                "quadrature": {"n_axis": 8, "radius": 1.1}})
+    assert cli.main(["calabi", "--spec", str(spec), "--out", str(tmp_path / "out4")]) == 0
+    record = json.loads((tmp_path / "out4" / "calabi_result.json").read_text())
+    assert record["result"]["quadrature"] == {"radius": 1.1, "n_axis": 8, "n_t": 24}
 
 
 def test_tau_kind_reproducible(tmp_path, radial_scenario_file):
@@ -181,14 +191,19 @@ def test_malformed_spec_exits_2(tmp_path):
 def malformed_inputs(tmp_path, radial_scenario_file):
     """Scenarios and isotopies with one malformed value each, and a valid loop.
 
-    Scenarios: "dt": "fast"; in H, "bump_power": 3.5, "dim": 2.5, or a bump
-    with "amplitude": "x".  Isotopies: "genus": "two" and "genus": 2.9.
+    Scenarios: "dt": "fast"; in H, "bump_power": 3.5, "dim": 2.5, a bump
+    with "amplitude": "x", or a "time" that is not an object, has a cos pair
+    without its frequency, a non-numeric coefficient or a fractional
+    frequency.  Isotopies: "genus": "two" and "genus": 2.9.
     """
     radial = json.loads(radial_scenario_file.read_text())
     write_json(tmp_path / "bad_dt.json", dict(radial, dt="fast"))
     for name, edit in (("bump_power", {"bump_power": 3.5}), ("dim", {"dim": 2.5}),
                        ("amplitude", {"kind": "bump", "amplitude": "x", "center": [0.1, 0.0],
-                                      "radius": 0.5})):
+                                      "radius": 0.5}),
+                       ("time", {"time": "always"}), ("time_pair", {"time": {"cos": [[0.3]]}}),
+                       ("time_coefficient", {"time": {"poly": [1.0, "x"]}}),
+                       ("time_k", {"time": {"sin": [[0.5, 1.5]]}})):
         write_json(tmp_path / f"bad_{name}.json", dict(radial, H=dict(radial["H"], **edit)))
     sc = HamiltonianScenario(field=RadialField([0.5], support_radius=0.4), ball_radius=0.55,
                              support_radius=0.4, dt=0.01, form=HyperbolicForm())
@@ -214,10 +229,21 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     ("calabi", {"scenario_file": "bad_dim.json"}),
     ("calabi", {"scenario_file": "bad_amplitude.json"}),
     ("cal_s", {"isotopy_file": "fractional_genus.json", "p": 2, "n_points": 8, "seed": 1}),
+    ("calabi", {"scenario_file": "scenario.json", "quadrature": {"n_t": 0}}),
+    ("calabi", {"scenario_file": "scenario.json", "quadrature": {"n_r": -4}}),
+    ("calabi", {"scenario_file": "scenario.json", "quadrature": {"n_angle": 0}}),
+    ("calabi", {"scenario_file": "scenario.json", "quadrature": {"radius": float("nan")}}),
+    ("calabi", {"scenario_file": "bad_time.json"}),
+    ("calabi", {"scenario_file": "bad_time_pair.json"}),
+    ("calabi", {"scenario_file": "bad_time_coefficient.json"}),
+    ("calabi", {"scenario_file": "bad_time_k.json"}),
 ], ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
         "quadrature_not_object", "quadrature_bad_value", "genus_not_int", "seed_not_int",
         "schedule_entry_not_int", "schedule_not_list", "bump_power_fractional",
-        "field_dim_fractional", "amplitude_not_float", "genus_fractional"])
+        "field_dim_fractional", "amplitude_not_float", "genus_fractional",
+        "quadrature_n_t_zero", "quadrature_n_r_negative", "quadrature_n_angle_zero",
+        "quadrature_radius_nan", "time_not_object", "time_pair_without_k",
+        "time_coefficient_not_float", "time_k_fractional"])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)
     out = malformed_inputs / "out"

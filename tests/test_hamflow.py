@@ -264,6 +264,90 @@ def test_calabi_radial_hyperbolic_oracle():
     assert calabi(sc) == pytest.approx(oracle, abs=1e-6)
 
 
+def _calabi_per_time_node(sc, primitive=None):
+    """The Calabi quadrature one time node at a time, with the field's full gradient."""
+    from qmlab.hamflow import _ball_nodes, _unit_gauss_legendre
+    rule = QuadratureRule()
+    pts, w = _ball_nodes(sc.dim, rule, sc.support_radius)
+    rho = sc.form.rho(pts)
+    w = w * rho
+    j = standard_j(sc.dim // 2)
+    cov = (primitive or sc.primitive()).covector(pts)
+    total = 0.0
+    for t, w_t in zip(*_unit_gauss_legendre(rule.n_t)):
+        z = (sc.field.grad(pts, float(t)) @ j.T) / rho[:, None]
+        total += w_t * float(np.sum(w * np.sum(cov * z, axis=1)))
+    return total
+
+
+def _calabi_cases():
+    """Scenarios of every field kind, with time profiles that the split rule has to respect."""
+    xs = np.linspace(-1.1, 1.1, 41)
+    fields = {
+        "radial_t": RadialField([1.0, -0.5, 0.3], support_radius=0.8,
+                                time=TimeProfile(poly=(1.0, 0.2), cos=((0.3, 1),))),
+        "bump": BumpField(1.1, [0.2, 0.15], 0.45),
+        "poly": PolyBumpField([[(2, 1), 0.7], [(1, 0), -0.4], [(0, 2), 0.5]],
+                              support_radius=1.0),
+        "grid": GridField(-1.1, 1.1, np.exp(-4 * (xs[:, None] ** 2 + xs[None, :] ** 2))
+                          * (1 + xs[:, None]), support_radius=1.0,
+                          time=TimeProfile(poly=(0.5, 1.0))),
+        "radial_4d": RadialField([0.8], support_radius=1.0, dim=4),
+    }
+    fields["sum"] = SumField([BumpField(0.9, [0.45, 0.0], 0.3),
+                              BumpField(-0.6, [-0.45, 0.0], 0.3,
+                                        time=TimeProfile(sin=((1.0, 1),)))])
+    fields["concat"] = ConcatField(RadialField([1.0], support_radius=0.7,
+                                               time=TimeProfile(poly=(0.3, 1.0))),
+                                   BumpField(0.5, [0.1, 0.1], 0.4,
+                                             time=TimeProfile(poly=(0.2, 1.0),
+                                                              cos=((0.7, 2),))))
+    fields["conjugated"] = ConjugatedField(fields["concat"],
+                                           np.array([[1.2, 0.3], [0.0, 1.0 / 1.2]]))
+    cases = {kind: HamiltonianScenario(field=f, ball_radius=1.2,
+                                       support_radius=f.support_radius + 1e-9, dt=0.01)
+             for kind, f in fields.items()}
+    hyp_bump = BumpField(1.0, [0.2, 0.1], 0.3)
+    cases["bump_hyperbolic"] = HamiltonianScenario(
+        field=hyp_bump, ball_radius=0.9, support_radius=hyp_bump.support_radius + 1e-9,
+        dt=0.01, form=HyperbolicForm())
+    return cases
+
+
+@pytest.mark.parametrize("kind", list(_calabi_cases()) + ["bump_shifted"])
+def test_calabi_matches_per_time_node_quadrature(kind):
+    """One spatial pass per separable term gives the per-time-node value up to rounding."""
+    sc = _calabi_cases()["bump" if kind == "bump_shifted" else kind]
+    prim = None
+    if kind == "bump_shifted":
+        prim = sc.primitive(shift=PolyBumpField([[(2, 1), 0.7], [(0, 1), -0.3], [(1, 0), 0.2]],
+                                                support_radius=sc.ball_radius - 1e-6))
+    value = calabi(sc, primitive=prim)
+    assert type(value) is float
+    assert value == pytest.approx(_calabi_per_time_node(sc, prim), rel=1e-14, abs=0.0)
+
+
+def test_calabi_makes_one_spatial_pass_per_term(monkeypatch):
+    calls = {}
+    sc = _calabi_cases()["conjugated"]  # conjugated concat of a radial field and a bump
+    for leaf in (sc.field.base.first, sc.field.base.second):
+        def counted(pts, order=1, leaf=leaf, real=leaf.spatial_jet):
+            calls[leaf] = calls.get(leaf, 0) + 1
+            return real(pts, order)
+        monkeypatch.setattr(leaf, "spatial_jet", counted)
+    calabi(sc)
+    assert list(calls.values()) == [1, 1]
+
+
+@pytest.mark.parametrize("bad", [{"n_t": 0}, {"n_r": -4}, {"n_angle": 0}, {"n_axis": 2.0},
+                                 {"n_r": True}, {"radius": float("nan")},
+                                 {"radius": float("inf")}, {"radius": 0.0}, {"radius": "1"}],
+                         ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_quadrature_rule_rejects_bad_values(bad):
+    with pytest.raises(ValidationError):
+        QuadratureRule(**bad)
+
+
 # ---------------------------------------------------------------- birkhoff
 
 def test_birkhoff_constant_and_fixed_point():
