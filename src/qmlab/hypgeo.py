@@ -7,9 +7,10 @@ a small disk U lifts to the unit tangent bundle: along each trajectory the
 direction angle parallel-transports and additionally rotates by minus the
 mean-zero Hamiltonian (in turns).  Pushing the moving direction to the
 circle at infinity and counting boundary turns yields the integer index
-whose fiber infimum defines the angle function; the homogenized integral
-of the angle over the surface is the invariant that restricts to the
-Calabi value on disk-supported maps.
+whose fiber infimum defines the angle function (the boundary angle is
+psi + 2 arg(1 + z exp(-i psi)), which never wraps: Re(1 + z exp(-i psi))
+>= 1 - |z| > 0); the homogenized integral of the angle over the surface is
+the invariant that restricts to the Calabi value on disk-supported maps.
 
 Normalization (frozen): the fiber coordinate is measured in turns, the
 contact form is the Levi-Civita angular form over 2 pi, and the surface
@@ -30,8 +31,7 @@ from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _unit_gauss_
                       scenario_from_json, scenario_to_json)
 
 DISK_EDGE = 1.0 - 1e-12
-LIFT_GUARD = 0.5  # turns; a boundary-lift step at or past this aliases
-LIFT_STRIDE = 2   # flow steps per boundary lift
+LIFT_GUARD = 0.5  # turns; a circle-path step at or past this aliases
 GEODESIC_NODES = 32  # Gauss-Legendre nodes of a geodesic line integral
 
 
@@ -64,11 +64,9 @@ class CirclePath:
         arr = np.asarray(self.lifted_angles, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("lifted_angles must be a nonempty 1-d array")
-        if arr.size > 1:
-            steps = np.abs(np.diff(arr))
-            bad = np.nonzero(steps >= LIFT_GUARD)[0]
-            if bad.size:
-                raise RefinePathError(int(bad[0]))
+        bad = np.nonzero(np.abs(np.diff(arr)) >= LIFT_GUARD)[0]
+        if bad.size:
+            raise RefinePathError(int(bad[0]))
         object.__setattr__(self, "lifted_angles", arr)
 
 
@@ -93,17 +91,20 @@ def _mobius(a, w):
 
 
 def geodesic_endpoint(v: UnitDirection) -> float:
-    """Boundary angle (radians mod 2 pi) of the geodesic ray from v."""
+    """Boundary angle (radians, lifted continuously from v.angle) of the geodesic ray from v."""
     return float(_endpoint_angles(np.array([v.base]), np.array([[v.angle]]))[0, 0])
 
 
 def _endpoint_angles(z: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Boundary angles of the geodesic rays at z complex (N,) in directions psi (N, k).
+    """Lifted boundary angles of the geodesic rays at z complex (N,) in directions psi (N, k).
 
-    Closed form: the Mobius map sending 0 to the base preserves direction
-    angles there, so the ray from 0 towards exp(i psi) maps onto the ray.
+    The ray ends at _mobius(z, exp(i psi)) = exp(i psi) u / conj(u) with
+    u = 1 + z exp(-i psi).  Re u >= 1 - |z| > 0 keeps arg u in (-pi/2, pi/2),
+    so psi + 2 arg u is continuous in (z, psi): the lift, which never wraps.
     """
-    return np.angle(_mobius(z[:, None], np.exp(1j * psi)))
+    # exp(..) * z: numpy evaluates a large z * exp(..) in place as exp(..) * z, and
+    # FMA complex products are not bitwise commutative, so only this order is size-free
+    return psi + 2.0 * np.angle(1.0 + np.exp(-1j * psi) * z[:, None])
 
 
 def parallel_transport_rate(z: complex, zdot: complex) -> float:
@@ -205,10 +206,10 @@ def _chart_point(iso: DiskIsotopy, x) -> complex:
 class _LiftState:
     """The fiber evolution and boundary lift of a batch over p periods.
 
-    The fiber rate does not depend on the direction itself, so one angle
-    increment serves every fiber offset; boundary lifts are tracked per
-    offset with the aliasing guard.  Construction runs the whole lift:
-    afterwards ``eta - eta_start`` holds the lifted boundary turns.
+    One fiber-angle increment serves every fiber offset, since the rate does
+    not depend on the direction.  The lift is ``_endpoint_angles`` at
+    psi0 + dpsi, which cannot wrap (Re(1 + z exp(-i psi)) >= 1 - |z| > 0), so
+    construction runs the flow and then sets ``eta - eta_start``, the turns.
     """
 
     def __init__(self, iso: DiskIsotopy, pts: np.ndarray, psi0: np.ndarray, p: int,
@@ -217,19 +218,16 @@ class _LiftState:
         self.engine = FlowMap(iso.scenario)
         self.psi0 = psi0  # (N, k)
         self.dpsi = np.zeros(pts.shape[0])
-        # (N, k) lifted boundary angles, turns
-        self.eta_start = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], psi0) / (2.0 * np.pi)
-        self.eta = self.eta_start
-        self.max_step = 0.0
         self.max_radius = float(np.max(np.linalg.norm(pts, axis=1)))
-        # (t, points, chart angles, lifted boundary angles) at every lift
-        self.trace = [(0.0, pts.copy(), psi0, self.eta)] if keep_trace else None
+        # (t, points, chart angles) at every step
+        self.trace = [(0.0, pts.copy(), psi0)] if keep_trace else None
         out = self.engine.evolve(pts, periods=p, step_hook=self.hook)
-        total = p * self.engine.steps_per_period
-        if total % LIFT_STRIDE:
-            self._lift(out, total * self.engine.h)
         if self.max_radius >= iso.chart_radius * (1.0 + 1e-9):
             raise NumericalError("a trajectory left the disk U (support violation)")
+        # (N, k) lifted boundary angles, turns
+        self.eta_start = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], psi0) / (2.0 * np.pi)
+        self.eta = _endpoint_angles(out[:, 0] + 1j * out[:, 1],
+                                    psi0 + self.dpsi[:, None]) / (2.0 * np.pi)
 
     def hook(self, step: int, t_mid: float, mid: np.ndarray, vel: np.ndarray,
              new: np.ndarray, tangent):
@@ -237,26 +235,15 @@ class _LiftState:
         rate = transport_rate_points(mid, vel)
         h_tilde = self.iso.scenario.field.value(mid, t_mid) + self.iso.mean_zero_constant(t_mid)
         self.dpsi += h * (rate - 2.0 * np.pi * h_tilde)
-        if (step + 1) % LIFT_STRIDE == 0:
-            self._lift(new, (step + 1) * h)
-
-    def _lift(self, pts: np.ndarray, t: float):
-        self.max_radius = max(self.max_radius, float(np.max(np.linalg.norm(pts, axis=1))))
-        psi = self.psi0 + self.dpsi[:, None]
-        ang = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], psi) / (2.0 * np.pi)
-        step = ang - (self.eta - np.round(self.eta - ang))
-        worst = float(np.max(np.abs(step)))
-        self.max_step = max(self.max_step, worst)
-        if worst >= LIFT_GUARD:
-            raise NumericalError(
-                f"boundary lift moved {worst:.3f} turns between samples: decrease dt")
-        self.eta = self.eta + step
+        self.max_radius = max(self.max_radius, float(np.max(np.linalg.norm(new, axis=1))))
         if self.trace is not None:
-            self.trace.append((t, pts.copy(), psi, self.eta))
+            self.trace.append(((step + 1) * h, new.copy(), self.psi0 + self.dpsi[:, None]))
 
 
 def _boundary_indices(iso: DiskIsotopy, pts: np.ndarray, p: int, fiber_samples: int) -> np.ndarray:
     """floor(eta - eta_start) over p periods, (N, k), at k equally spaced fiber angles."""
+    if fiber_samples < 1:
+        raise ValidationError("fiber_samples must be >= 1")
     psi0 = np.broadcast_to(2.0 * np.pi * np.arange(fiber_samples) / fiber_samples,
                            (pts.shape[0], fiber_samples))
     state = _LiftState(iso, pts, psi0, p)
@@ -272,10 +259,10 @@ def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int) -> tuple[list, Circle
     if p < 1:
         raise ValidationError("p must be >= 1")
     z = _chart_point(iso, v.base)
-    pts = np.array([[z.real, z.imag]])
-    state = _LiftState(iso, pts, np.array([[v.angle]]), p, keep_trace=True)
-    path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi, _ in state.trace]
-    return path, CirclePath(np.array([eta[0, 0] for *_, eta in state.trace]))
+    state = _LiftState(iso, np.array([[z.real, z.imag]]), np.array([[v.angle]]), p, keep_trace=True)
+    path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi in state.trace]
+    _, zs, psis = map(np.array, zip(*path))
+    return path, CirclePath(_endpoint_angles(zs, psis[:, None])[:, 0] / (2.0 * np.pi))
 
 
 def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> float:
@@ -314,8 +301,8 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
     Calabi invariant of the isotopy.  The reported std_error uses the
     i.i.d. formula and is conservative for the stratified draw.
     """
-    if p < 1 or n_points < 2:
-        raise ValidationError("need p >= 1 and n_points >= 2")
+    if p < 1 or n_points < 2 or fiber_samples < 1:
+        raise ValidationError("need p >= 1, n_points >= 2 and fiber_samples >= 1")
     rng = np.random.default_rng(seed)
     form = iso.scenario.form
     pts = form.sample_ball_stratified(iso.chart_radius, 2, n_points, rng)
@@ -364,14 +351,25 @@ class OneForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "OneForm":
-        if data.get("kind", "poly") != "poly":
-            raise ValidationError("only polynomial one-forms are supported")
-        return cls(a_monomials=tuple(tuple(m) for m in data.get("a", ())),
-                   b_monomials=tuple(tuple(m) for m in data.get("b", ())))
+        if not isinstance(data, dict) or data.get("kind", "poly") != "poly":
+            raise ValidationError("a one-form must be a JSON object of kind 'poly'")
+        return cls(*(_monomials_from_json(key, data.get(key, [])) for key in ("a", "b")))
 
     def to_json(self) -> dict:
         return {"kind": "poly", "a": [list(m) for m in self.a_monomials],
                 "b": [list(m) for m in self.b_monomials]}
+
+
+def _monomials_from_json(key: str, entries) -> tuple:
+    """One-form field ``key``: a list of [i, j, c] monomials with exponents i, j >= 0."""
+    if not (isinstance(entries, (list, tuple))
+            and all(isinstance(m, (list, tuple)) and len(m) == 3 for m in entries)):
+        raise ValidationError(f"one-form field {key!r} must be a list of [i, j, c] monomials")
+    out = tuple((convert(key, i, int, "one-form JSON"), convert(key, j, int, "one-form JSON"),
+                 convert(key, c, float, "one-form JSON")) for i, j, c in entries)
+    if any(i < 0 or j < 0 for i, j, _ in out):
+        raise ValidationError(f"one-form field {key!r} has a negative exponent")
+    return out
 
 
 def hyperbolic_distance(z0: complex, z1: complex) -> float:

@@ -194,7 +194,8 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     Scenarios: "dt": "fast"; in H, "bump_power": 3.5, "dim": 2.5, a bump
     with "amplitude": "x", or a "time" that is not an object, has a cos pair
     without its frequency, a non-numeric coefficient or a fractional
-    frequency.  Isotopies: "genus": "two" and "genus": 2.9.
+    frequency.  Isotopies: "genus": "two" and "genus": 2.9, and a valid one
+    (iso.json) for malformed cal_s and gg specs.
     """
     radial = json.loads(radial_scenario_file.read_text())
     write_json(tmp_path / "bad_dt.json", dict(radial, dt="fast"))
@@ -207,7 +208,7 @@ def malformed_inputs(tmp_path, radial_scenario_file):
         write_json(tmp_path / f"bad_{name}.json", dict(radial, H=dict(radial["H"], **edit)))
     sc = HamiltonianScenario(field=RadialField([0.5], support_radius=0.4), ball_radius=0.55,
                              support_radius=0.4, dt=0.01, form=HyperbolicForm())
-    for name, genus in (("bad_genus", "two"), ("fractional_genus", 2.9)):
+    for name, genus in (("bad_genus", "two"), ("fractional_genus", 2.9), ("iso", 2)):
         write_json(tmp_path / f"{name}.json",
                    {"scenario": scenario_to_json(sc), "genus": genus, "disk_area": 0.6})
     write_json(tmp_path / "loop.json", path_to_json(full_rotation_loop()))
@@ -237,13 +238,23 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     ("calabi", {"scenario_file": "bad_time_pair.json"}),
     ("calabi", {"scenario_file": "bad_time_coefficient.json"}),
     ("calabi", {"scenario_file": "bad_time_k.json"}),
-], ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
+    ("cal_s", {"isotopy_file": "iso.json", "p": 2, "n_points": 8, "fiber_samples": 0,
+               "seed": 1}),
+    ("cal_s", {"isotopy_file": "iso.json", "p": 2, "n_points": 8, "fiber_samples": -3,
+               "seed": 1}),
+] + [("gg", {"isotopy_file": "iso.json", "p": 2, "n_points": 4, "seed": 1, "eta": eta})
+     for eta in ([[1]], 3, {"a": 5}, {"a": [[1]]}, {"a": [["x", 0, 1.0]]},
+                 {"b": [[0, -1, 1.0]]}, {"a": [[0.5, 0, 1.0]]})],
+    ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
         "quadrature_not_object", "quadrature_bad_value", "genus_not_int", "seed_not_int",
         "schedule_entry_not_int", "schedule_not_list", "bump_power_fractional",
         "field_dim_fractional", "amplitude_not_float", "genus_fractional",
         "quadrature_n_t_zero", "quadrature_n_r_negative", "quadrature_n_angle_zero",
         "quadrature_radius_nan", "time_not_object", "time_pair_without_k",
-        "time_coefficient_not_float", "time_k_fractional"])
+        "time_coefficient_not_float", "time_k_fractional", "fiber_samples_zero",
+        "fiber_samples_negative", "eta_not_object", "eta_number", "eta_a_not_list",
+        "eta_monomial_short", "eta_exponent_not_int", "eta_exponent_negative",
+        "eta_exponent_fractional"])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)
     out = malformed_inputs / "out"

@@ -10,7 +10,7 @@ from qmlab.errors import RefinePathError, ValidationError
 from qmlab.hamflow import (BumpField, HamiltonianScenario, HyperbolicForm,
                            RadialField, calabi, concat_scenarios, integrate_flow)
 from qmlab.hypgeo import (CirclePath, DiskIsotopy, OneForm, UnitDirection,
-                          _endpoint_angles, angle_estimate, cal_s_estimate,
+                          _endpoint_angles, _mobius, angle_estimate, cal_s_estimate,
                           circle_index, concat_circle_paths, fiber_index_spread,
                           geodesic_endpoint, gg_quasimorphism_estimate, gg_u,
                           hyperbolic_distance, isotopy_from_json,
@@ -98,6 +98,9 @@ def test_geodesic_endpoint_is_the_batched_kernel():
     batch = _endpoint_angles(z, psi[:, None])[:, 0]
     scalar = np.array([geodesic_endpoint(UnitDirection(zi, a)) for zi, a in zip(z, psi)])
     assert np.array_equal(scalar, batch)
+    # the closed-form lift is the Mobius image's angle, mod 2 pi
+    wrapped = np.angle(_mobius(z, np.exp(1j * psi)))
+    assert np.max(np.abs(np.angle(np.exp(1j * (batch - wrapped))))) < 1e-12
 
 
 def test_disk_point_validation():
@@ -223,6 +226,30 @@ def test_theta_lift_center_fixed_point_rate():
     drift = boundary.lifted_angles[-1] - boundary.lifted_angles[0]
     assert drift == pytest.approx(expected_turns, abs=1e-9)
     assert circle_index(boundary) == int(np.floor(expected_turns))
+
+
+def test_theta_lift_is_the_unwrapped_mobius_angle():
+    # off the centre of the bump the boundary angle winds about eight turns
+    f = BumpField(5.0, [0.12, 0.0], 0.34)
+    sc = HamiltonianScenario(field=f, ball_radius=0.58, support_radius=f.support_radius + 1e-9,
+                             dt=0.002, form=HyperbolicForm())
+    iso = DiskIsotopy(scenario=sc, genus=GENUS, disk_area=disk_area_of(0.52))
+    path, boundary = theta_lift(iso, UnitDirection(0.2 + 0.05j, 0.3), p=2)
+    z = np.array([zz for _, zz, _ in path])
+    psi = np.array([a for *_, a in path])
+    unwrapped = np.unwrap(np.angle(_mobius(z, np.exp(1j * psi))))
+    offset = 2.0 * np.pi * boundary.lifted_angles - unwrapped
+    assert abs(boundary.lifted_angles[-1] - boundary.lifted_angles[0]) > 5.0
+    k = np.round(offset[0] / (2.0 * np.pi))
+    assert np.max(np.abs(offset - 2.0 * np.pi * k)) < 1e-12
+
+
+def test_fiber_samples_must_be_positive():
+    iso = radial_iso(dt=0.01)
+    for estimate in (angle_estimate, fiber_index_spread):
+        for k in (0, -3):
+            with pytest.raises(ValidationError):
+                estimate(iso, (0.1, 0.0), p=1, fiber_samples=k)
 
 
 def test_fiber_comparison_bound():
