@@ -8,6 +8,8 @@ turns a malformed value from a spec or JSON file into a ValidationError;
 the CLI and the JSON loaders share it.
 """
 
+import math
+
 
 class QmlabError(Exception):
     """Base class for all package errors."""
@@ -21,11 +23,14 @@ def convert(key: str, value, kind: type, source: str = "spec"):
     """``kind(value)`` for field ``key`` of ``source``, raising ValidationError on failure.
 
     A lossy conversion fails too: a float with a fractional part for an int.
+    So does a float that is not finite (NaN or +-inf, also from a string).
     """
     try:
         out = kind(value)
         if kind is int and isinstance(value, float) and out != value:
             raise ValueError("fractional part")
+        if kind is float and not math.isfinite(out):
+            raise ValueError("not finite")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"{source} field {key!r} is not a valid {kind.__name__}: {value!r}") from exc

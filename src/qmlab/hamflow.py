@@ -15,9 +15,9 @@ X_H = J0 grad H / rho.
 
 A new field kind implements ``value``, ``jet(pts, t, order)``, which
 returns the gradient and, for order 2, the Hessian from one pass over the
-points (``grad`` and ``hess`` are views of the jet), and ``separate(pts, ts)``,
-its split H = sum_k a_k(t) h_k into time factors at the times ts and spatial
-gradients, from which ``calabi`` integrates each term in one spatial pass.
+points (``grad`` and ``hess`` are views of the jet), and ``separate(pts)``,
+its split H = sum_k a_k(t) h_k into spatial gradients and time factors with
+exact integrals, from which ``calabi`` integrates each term in one pass.
 Each Newton iterate of the midpoint step evaluates one jet, which gives the
 velocity and the linearization together.  The jet builds its (N, d, d)
 Hessian batch-last, in (d, d, N) memory (``_batch_last``, or ``_batched`` of
@@ -115,6 +115,11 @@ class TimeProfile:
         for amp, k in self.sin:
             out = out + amp * np.sin(2.0 * np.pi * k * t)
         return out if out.shape else float(out)
+
+    def integral(self) -> float:
+        """The exact integral over [0, 1]: a cos or sin term of integer k != 0 integrates to 0."""
+        return float(sum(c / (j + 1) for j, c in enumerate(self.poly))
+                     + sum(amp for amp, k in self.cos if k == 0))
 
     def to_json(self):
         return {"poly": list(self.poly), "cos": [list(p) for p in self.cos],
@@ -309,12 +314,8 @@ class HamiltonianField(ABC):
         return _sq_norms(pts) >= self.support_radius ** 2
 
     @abstractmethod
-    def separate(self, pts: np.ndarray, ts: np.ndarray) -> list:
-        """H = sum_k a_k(t) h_k as [(a_k(ts), grad h_k(pts)), ...]: one spatial pass per term."""
-
-    @abstractmethod
-    def space_integral(self, form: SymplecticForm, t: float) -> float:
-        """Integral of H(., t) against the form over the support."""
+    def separate(self, pts: np.ndarray) -> list:
+        """H = sum_k a_k(t) h_k as [(a_k, grad h_k(pts)), ...]; a_k(ts) and exact a_k.integral()."""
 
     @abstractmethod
     def to_json(self) -> dict: ...
@@ -325,11 +326,10 @@ class HamiltonianField(ABC):
 
 
 class SeparableField(HamiltonianField):
-    """H(z, t) = amplitude(t) * spatial(z); spatial integral cached per form."""
+    """H(z, t) = amplitude(t) * spatial(z)."""
 
     def __init__(self, time: TimeProfile | None = None):
         self.time = time if time is not None else TimeProfile()
-        self._spatial_cache: dict[str, float] = {}
         self._last_time_factor = (None, None, 0.0)  # (profile, t, a(t))
 
     @abstractmethod
@@ -359,17 +359,8 @@ class SeparableField(HamiltonianField):
     grad = HamiltonianField.grad
     hess = HamiltonianField.hess
 
-    def separate(self, pts, ts):
-        return [(self.time(ts), self.spatial_jet(pts)[0])]
-
-    def space_integral(self, form, t):
-        key = form.kind
-        if key not in self._spatial_cache:
-            if self.dim != 2:
-                raise ValidationError("space_integral implemented for 2-d fields")
-            pts, w = _ball_nodes(2, QuadratureRule(n_r=160, n_angle=128), self.support_radius)
-            self._spatial_cache[key] = float(np.sum(w * form.rho(pts) * self.spatial_value(pts)))
-        return self._time_factor(t) * self._spatial_cache[key]
+    def separate(self, pts):
+        return [(self.time, self.spatial_jet(pts)[0])]
 
 
 def _horner(coef: tuple, x):
@@ -664,14 +655,27 @@ class SumField(HamiltonianField):
     def frozen(self, pts):
         return np.logical_and.reduce([p.frozen(pts) for p in self.parts])
 
-    def separate(self, pts, ts):
-        return [term for p in self.parts for term in p.separate(pts, ts)]
-
-    def space_integral(self, form, t):
-        return sum(p.space_integral(form, t) for p in self.parts)
+    def separate(self, pts):
+        return [term for p in self.parts for term in p.separate(pts)]
 
     def to_json(self):
         return {"kind": "sum", "parts": [p.to_json() for p in self.parts]}
+
+
+@dataclass(frozen=True)
+class _HalfFactor:
+    """2 a(2 (t mod 1) - half) on half 0 ([0, 1/2)) or 1 of ``ConcatField._piece``, else 0."""
+
+    a: object
+    half: int
+
+    def __call__(self, t):
+        u = np.asarray(t, dtype=float) % 1.0
+        out = np.where((u >= 0.5) == bool(self.half), 2.0 * self.a(2.0 * u - self.half), 0.0)
+        return out if out.shape else float(out)
+
+    def integral(self) -> float:
+        return self.a.integral()  # the rescaling keeps the part's integral
 
 
 class ConcatField(HamiltonianField):
@@ -708,17 +712,10 @@ class ConcatField(HamiltonianField):
     def frozen(self, pts):
         return self.first.frozen(pts) & self.second.frozen(pts)
 
-    def separate(self, pts, ts):
-        u = np.asarray(ts, dtype=float) % 1.0
-        first = u < 0.5  # the split of _piece
-        return [(np.where(mask, 2.0 * a, 0.0), g)
-                for part, s, mask in ((self.first, 2.0 * u, first),
-                                      (self.second, 2.0 * u - 1.0, ~first))
-                for a, g in part.separate(pts, s)]
-
-    def space_integral(self, form, t):
-        f, s = self._piece(t)
-        return 2.0 * f.space_integral(form, s)
+    def separate(self, pts):
+        return [(_HalfFactor(a, half), g)
+                for half, part in enumerate((self.first, self.second))
+                for a, g in part.separate(pts)]
 
     def to_json(self):
         return {"kind": "concat", "parts": [self.first.to_json(), self.second.to_json()]}
@@ -767,13 +764,8 @@ class ConjugatedField(HamiltonianField):
     def frozen(self, pts):
         return self.base.frozen(self._pull_back(pts))
 
-    def separate(self, pts, ts):
-        return [(a, self._push_forward(g)) for a, g in self.base.separate(self._pull_back(pts), ts)]
-
-    def space_integral(self, form, t):
-        if form.kind != "standard":
-            raise ValidationError("conjugation only preserves the standard form")
-        return self.base.space_integral(form, t)
+    def separate(self, pts):
+        return [(a, self._push_forward(g)) for a, g in self.base.separate(self._pull_back(pts))]
 
     def to_json(self):
         return {"kind": "conjugated", "g": self.g.tolist(), "base": self.base.to_json()}
@@ -783,31 +775,38 @@ def field_from_json(data: dict, support_radius: float | None = None) -> Hamilton
     def integer(key, default):
         return convert(key, data.get(key, default), int, "Hamiltonian JSON")
 
+    def finite(key, default=None):
+        """Field ``key`` as a float array; a NaN or infinite entry raises ValidationError."""
+        value = data[key] if default is None else data.get(key, default)
+        out = np.asarray(value, dtype=float)
+        if not np.isfinite(out).all():
+            raise ValidationError(f"Hamiltonian JSON field {key!r} is not finite: {value!r}")
+        return out
+
     try:
         kind = data["kind"]
         time = TimeProfile.from_json(data.get("time"))
         if kind == "radial":
-            return RadialField(data["profile"],
-                               data.get("support_radius", support_radius),
+            return RadialField(finite("profile"), finite("support_radius", support_radius),
                                integer("bump_power", 3), time, integer("dim", 2))
         if kind == "bump":
-            return BumpField(data["amplitude"], data["center"], data["radius"], time)
+            return BumpField(finite("amplitude"), finite("center"), finite("radius"), time)
         if kind == "poly":
-            monomials = [([convert("monomials", e, int, "Hamiltonian JSON") for e in exps], c)
+            monomials = [([convert("monomials", e, int, "Hamiltonian JSON") for e in exps],
+                          convert("monomials", c, float, "Hamiltonian JSON"))
                          for exps, c in data["monomials"]]
-            return PolyBumpField(monomials, data.get("support_radius", support_radius),
+            return PolyBumpField(monomials, finite("support_radius", support_radius),
                                  time, integer("dim", 2))
         if kind == "grid":
-            return GridField(data["x0"], data["x1"], data["values"],
-                             data.get("support_radius", support_radius), time)
+            return GridField(finite("x0"), finite("x1"), finite("values"),
+                             finite("support_radius", support_radius), time)
         if kind == "sum":
             return SumField([field_from_json(p, support_radius) for p in data["parts"]])
         if kind == "concat":
             a, b = (field_from_json(p, support_radius) for p in data["parts"])
             return ConcatField(a, b)
         if kind == "conjugated":
-            return ConjugatedField(field_from_json(data["base"], support_radius),
-                                   np.asarray(data["g"], dtype=float))
+            return ConjugatedField(field_from_json(data["base"], support_radius), finite("g"))
     except KeyError as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: missing {exc}") from exc
     except ValidationError:
@@ -916,13 +915,12 @@ def scenario_to_json(sc: HamiltonianScenario) -> dict:
 def scenario_from_json(data: dict) -> HamiltonianScenario:
     try:
         h = data["H"]
-        ball_radius = float(data["ball_radius"])
-        support_radius = float(data["support_radius"])
-        dt = float(data.get("dt", 1e-3))
+        ball_radius = convert("ball_radius", data["ball_radius"], float, "scenario JSON")
+        support_radius = convert("support_radius", data["support_radius"], float,
+                                 "scenario JSON")
+        dt = convert("dt", data.get("dt", 1e-3), float, "scenario JSON")
     except KeyError as exc:
         raise ValidationError(f"malformed scenario JSON: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed scenario JSON: {exc}") from exc
     return HamiltonianScenario(field=field_from_json(h, data.get("support_radius")),
                                ball_radius=ball_radius, support_radius=support_radius,
                                dt=dt, form=form_from_json(data.get("form")))
@@ -1223,17 +1221,16 @@ class QuadratureRule:
     The default angular resolution is sized so that fields supported away
     from the origin (whose sharp features cut across the polar grid) still
     integrate to well below 1e-6.  ``radius`` None means the scenario's
-    support radius; node counts are integers >= 1.
+    support radius; node counts are integers >= 1.  Time integrals are exact.
     """
 
     radius: float | None = None
     n_r: int = 192
     n_angle: int = 256
-    n_t: int = 24
     n_axis: int = 16
 
     def __post_init__(self):
-        for key in ("n_r", "n_angle", "n_t", "n_axis"):
+        for key in ("n_r", "n_angle", "n_axis"):
             n = getattr(self, key)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ValidationError(f"quadrature {key} must be an integer >= 1, got {n!r}")
@@ -1247,7 +1244,7 @@ class QuadratureRule:
 
     def used_by(self, sc: HamiltonianScenario) -> dict:
         """The radius and the node counts that ``calabi(sc)`` applies with this rule."""
-        counts = ("n_r", "n_angle", "n_t") if sc.dim == 2 else ("n_axis", "n_t")
+        counts = ("n_r", "n_angle") if sc.dim == 2 else ("n_axis",)
         return {"radius": self.domain_radius(sc), **{k: getattr(self, k) for k in counts}}
 
 
@@ -1280,15 +1277,11 @@ def _ball_nodes(dim: int, rule: QuadratureRule, radius: float):
     return pts[keep], w[keep]
 
 
-def calabi(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
-           quadrature: QuadratureRule | None = None) -> float:
-    """The Calabi value: the double integral of lambda(X_H) rho over ball and time.
+def _calabi_terms(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
+                  quadrature: QuadratureRule | None = None) -> list:
+    """[(a_k, S_k), ...]: S_k sums <lambda J0, grad h_k> = lambda(X_{h_k}) rho over the nodes.
 
-    With X_H = J0 grad H / rho the density cancels, leaving <lambda J0, grad H>
-    against euclidean weights.  That is linear in H = sum_k a_k(t) h_k
-    (``separate``), so the time rule acts on each a_k and each term takes
-    one spatial pass over the nodes.
-    """
+    By parts S_k is also minus the integral of h_k against the form d(lambda)."""
     rule = quadrature or QuadratureRule()
     radius = rule.domain_radius(sc)
     if radius < sc.support_radius:
@@ -1298,8 +1291,13 @@ def calabi(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
     prim = primitive or sc.primitive()
     pts, w = _ball_nodes(sc.dim, rule, radius)
     lam_j = (prim.covector(pts) @ standard_j(sc.dim // 2)) * w[:, None]
-    ts, wt = _unit_gauss_legendre(rule.n_t)
-    return sum(float(wt @ a) * float(np.sum(lam_j * g)) for a, g in sc.field.separate(pts, ts))
+    return [(a, float(np.sum(lam_j * g))) for a, g in sc.field.separate(pts)]
+
+
+def calabi(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
+           quadrature: QuadratureRule | None = None) -> float:
+    """The Calabi value, the integral of lambda(X_H) rho over ball and time: sum_k int a_k * S_k."""
+    return sum(a.integral() * s for a, s in _calabi_terms(sc, primitive, quadrature))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ whose fiber infimum defines the angle function (the boundary angle is
 psi + 2 arg(1 + z exp(-i psi)), which never wraps: Re(1 + z exp(-i psi))
 >= 1 - |z| > 0); the homogenized integral of the angle over the surface is
 the invariant that restricts to the Calabi value on disk-supported maps.
+The mean-zero constant c(t) comes from ``calabi``'s per-term sums: for H
+compactly supported in U, the integral of lambda(X_H) is minus that of H.
 
 Normalization (frozen): the fiber coordinate is measured in turns, the
 contact form is the Levi-Civita angular form over 2 pi, and the surface
@@ -22,13 +24,14 @@ Gauss-Legendre rule of the integrals here is ``hamflow``'s as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, RefinePathError, ValidationError, convert
-from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _unit_gauss_legendre,
-                      scenario_from_json, scenario_to_json)
+from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _calabi_terms,
+                      _unit_gauss_legendre, scenario_from_json, scenario_to_json)
 
 DISK_EDGE = 1.0 - 1e-12
 LIFT_GUARD = 0.5  # turns; a circle-path step at or past this aliases
@@ -164,14 +167,18 @@ class DiskIsotopy:
     def total_area(self) -> float:
         return 2.0 * self.genus - 2.0
 
+    @functools.cached_property
+    def _terms(self) -> list:
+        """[(a_k, S_k), ...] of ``calabi``'s split, S_k = -(integral of h_k over U), once."""
+        return _calabi_terms(self.scenario)
+
     def mean_zero_constant(self, t: float) -> float:
-        """c(t) = -(integral of H_t over U) / (2g-2)."""
-        return -self.scenario.field.space_integral(self.scenario.form, t) / self.total_area
+        """c(t) = -(integral of H_t over U) / (2g-2) = sum_k a_k(t) S_k / (2g-2)."""
+        return sum(a(t) * s for a, s in self._terms) / self.total_area
 
     def mean_constant_integral(self) -> float:
-        """Time integral of c over one period."""
-        ts, wt = _unit_gauss_legendre(32)
-        return float(sum(w * self.mean_zero_constant(float(t)) for t, w in zip(ts, wt)))
+        """Time integral of c over one period: calabi(scenario) / (2g-2)."""
+        return sum(a.integral() * s for a, s in self._terms) / self.total_area
 
 
 def isotopy_to_json(iso: DiskIsotopy) -> dict:

@@ -98,8 +98,7 @@ def test_calabi_kind(tmp_path, radial_scenario_file):
     assert code == 0
     record = json.loads((tmp_path / "out" / "calabi_result.json").read_text())
     assert record["result"]["value"] == pytest.approx(-0.6 * np.pi / 4, abs=1e-4)
-    assert record["result"]["quadrature"] == {"radius": 1.0, "n_r": 192, "n_angle": 256,
-                                              "n_t": 24}
+    assert record["result"]["quadrature"] == {"radius": 1.0, "n_r": 192, "n_angle": 256}
     f4 = RadialField([0.6], support_radius=1.0, dim=4)
     sc4 = HamiltonianScenario(field=f4, ball_radius=1.2, support_radius=1.0, dt=0.02)
     write_json(tmp_path / "scenario4.json", scenario_to_json(sc4))
@@ -107,7 +106,7 @@ def test_calabi_kind(tmp_path, radial_scenario_file):
                                                 "quadrature": {"n_axis": 8, "radius": 1.1}})
     assert cli.main(["calabi", "--spec", str(spec), "--out", str(tmp_path / "out4")]) == 0
     record = json.loads((tmp_path / "out4" / "calabi_result.json").read_text())
-    assert record["result"]["quadrature"] == {"radius": 1.1, "n_axis": 8, "n_t": 24}
+    assert record["result"]["quadrature"] == {"radius": 1.1, "n_axis": 8}
 
 
 def test_tau_kind_reproducible(tmp_path, radial_scenario_file):
@@ -195,7 +194,9 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     with "amplitude": "x", or a "time" that is not an object, has a cos pair
     without its frequency, a non-numeric coefficient or a fractional
     frequency.  Isotopies: "genus": "two" and "genus": 2.9, and a valid one
-    (iso.json) for malformed cal_s and gg specs.
+    (iso.json) for malformed cal_s and gg specs.  Scenarios nonfinite_<name>.json
+    carry one NaN or infinite number ("nan" and "inf" strings parse as
+    floats), and a mesh with a Morse function serves a reeb spec.
     """
     radial = json.loads(radial_scenario_file.read_text())
     write_json(tmp_path / "bad_dt.json", dict(radial, dt="fast"))
@@ -212,7 +213,31 @@ def malformed_inputs(tmp_path, radial_scenario_file):
         write_json(tmp_path / f"{name}.json",
                    {"scenario": scenario_to_json(sc), "genus": genus, "disk_area": 0.6})
     write_json(tmp_path / "loop.json", path_to_json(full_rotation_loop()))
+    bump = {"kind": "bump", "amplitude": 0.5, "center": [0.1, 0.0], "radius": 0.5}
+    grid = {"kind": "grid", "x0": -1.0, "x1": 1.0, "values": np.ones((5, 5)).tolist()}
+    poly = {"kind": "poly", "monomials": [[[1, 1], 0.5]]}
+    for name, h in (("profile", dict(radial["H"], profile=["nan"])),
+                    ("support_radius", dict(radial["H"], support_radius="nan")),
+                    ("time", dict(radial["H"], time={"poly": [float("inf")]})),
+                    ("amplitude", dict(bump, amplitude="inf")),
+                    ("center", dict(bump, center=[0.1, "nan"])),
+                    ("radius", dict(bump, radius="nan")),
+                    ("monomial", dict(poly, monomials=[[[1, 1], "nan"]])),
+                    ("x0", dict(grid, x0="nan")), ("x1", dict(grid, x1="inf")),
+                    ("values", dict(grid, values=np.pad(np.ones((5, 4)), ((0, 0), (0, 1)),
+                                                        constant_values=np.nan).tolist())),
+                    ("g", {"kind": "conjugated", "g": [[1.0, "nan"], [0.0, 1.0]], "base": bump})):
+        write_json(tmp_path / f"nonfinite_{name}.json", dict(radial, H=h))
+    write_json(tmp_path / "nonfinite_ball_radius.json", dict(radial, ball_radius="inf"))
+    mesh = genus2_mesh(5)
+    (tmp_path / "mesh.off").write_text(write_off(mesh))
+    (tmp_path / "morse.csv").write_text("vertex_id,value\n" + "\n".join(
+        f"{i},{v}" for i, v in enumerate(height_field(mesh).values)))
     return tmp_path
+
+
+_NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "center", "radius",
+                         "monomial", "x0", "x1", "values", "g", "ball_radius")
 
 
 @pytest.mark.parametrize("kind, spec", [
@@ -244,7 +269,10 @@ def malformed_inputs(tmp_path, radial_scenario_file):
                "seed": 1}),
 ] + [("gg", {"isotopy_file": "iso.json", "p": 2, "n_points": 4, "seed": 1, "eta": eta})
      for eta in ([[1]], 3, {"a": 5}, {"a": [[1]]}, {"a": [["x", 0, 1.0]]},
-                 {"b": [[0, -1, 1.0]]}, {"a": [[0.5, 0, 1.0]]})],
+                 {"b": [[0, -1, 1.0]]}, {"a": [[0.5, 0, 1.0]]}, {"a": [[0, 0, "nan"]]})]
+    + [("calabi", {"scenario_file": f"nonfinite_{name}.json"}) for name in _NON_FINITE_SCENARIOS]
+    + [("reeb", {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": True,
+                 "constant": "nan"})],
     ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
         "quadrature_not_object", "quadrature_bad_value", "genus_not_int", "seed_not_int",
         "schedule_entry_not_int", "schedule_not_list", "bump_power_fractional",
@@ -254,7 +282,8 @@ def malformed_inputs(tmp_path, radial_scenario_file):
         "time_coefficient_not_float", "time_k_fractional", "fiber_samples_zero",
         "fiber_samples_negative", "eta_not_object", "eta_number", "eta_a_not_list",
         "eta_monomial_short", "eta_exponent_not_int", "eta_exponent_negative",
-        "eta_exponent_fractional"])
+        "eta_exponent_fractional", "eta_coefficient_nan"]
+    + [f"nonfinite_{name}" for name in _NON_FINITE_SCENARIOS] + ["reeb_constant_nan"])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)
     out = malformed_inputs / "out"

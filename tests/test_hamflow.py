@@ -23,8 +23,8 @@ def radial_scenario(amplitude=0.8, dt=0.01, r_supp=1.0, ball=1.2, form=None, tim
                                dt=dt, form=form or StandardForm())
 
 
-def bump_scenario(amplitude, center, radius, ball=1.2, dt=0.01):
-    f = BumpField(amplitude, center, radius)
+def bump_scenario(amplitude, center, radius, ball=1.2, dt=0.01, time=None):
+    f = BumpField(amplitude, center, radius, time=time)
     return HamiltonianScenario(field=f, ball_radius=ball,
                                support_radius=f.support_radius + 1e-9, dt=dt)
 
@@ -215,6 +215,15 @@ def test_calabi_additive_on_disjoint_supports():
     assert calabi(srs) == pytest.approx(calabi(a) + calabi(b), abs=1e-10)
 
 
+def test_calabi_additive_under_time_dependent_concatenation():
+    # a(t) = 1 + sin(2 pi t) / 2 on the bump and a(t) = 2t on the radial twist
+    a = bump_scenario(0.9, [0.3, 0.1], 0.4, time=TimeProfile(sin=((0.5, 1),)))
+    b = radial_scenario(0.8, time=TimeProfile(poly=(0.0, 2.0)))
+    rule = QuadratureRule(radius=1.0)  # one spatial rule for the parts and the concatenation
+    assert (calabi(concat_scenarios(a, b), quadrature=rule)
+            == pytest.approx(calabi(a, quadrature=rule) + calabi(b, quadrature=rule), rel=1e-13))
+
+
 def test_calabi_negates_under_time_reversal():
     sc = radial_scenario(0.7)
     rev = radial_scenario(-0.7)
@@ -265,16 +274,22 @@ def test_calabi_radial_hyperbolic_oracle():
 
 
 def _calabi_per_time_node(sc, primitive=None):
-    """The Calabi quadrature one time node at a time, with the field's full gradient."""
+    """The Calabi quadrature one time node at a time, with the field's full gradient.
+
+    The time rule is 24-node Gauss-Legendre on each half of [0, 1]: a
+    concatenation switches parts at t = 1/2, and on each half every time
+    profile here is a polynomial or a low-frequency trigonometric term, which
+    the rule integrates to rounding.
+    """
     from qmlab.hamflow import _ball_nodes, _unit_gauss_legendre
-    rule = QuadratureRule()
-    pts, w = _ball_nodes(sc.dim, rule, sc.support_radius)
+    pts, w = _ball_nodes(sc.dim, QuadratureRule(), sc.support_radius)
     rho = sc.form.rho(pts)
     w = w * rho
     j = standard_j(sc.dim // 2)
     cov = (primitive or sc.primitive()).covector(pts)
+    u, w_u = _unit_gauss_legendre(24)
     total = 0.0
-    for t, w_t in zip(*_unit_gauss_legendre(rule.n_t)):
+    for t, w_t in zip(np.concatenate([0.5 * u, 0.5 + 0.5 * u]), np.tile(0.5 * w_u, 2)):
         z = (sc.field.grad(pts, float(t)) @ j.T) / rho[:, None]
         total += w_t * float(np.sum(w * np.sum(cov * z, axis=1)))
     return total
@@ -316,7 +331,7 @@ def _calabi_cases():
 
 @pytest.mark.parametrize("kind", list(_calabi_cases()) + ["bump_shifted"])
 def test_calabi_matches_per_time_node_quadrature(kind):
-    """One spatial pass per separable term gives the per-time-node value up to rounding."""
+    """One spatial pass per term and exact time integrals give the per-time-node value."""
     sc = _calabi_cases()["bump" if kind == "bump_shifted" else kind]
     prim = None
     if kind == "bump_shifted":
@@ -339,7 +354,7 @@ def test_calabi_makes_one_spatial_pass_per_term(monkeypatch):
     assert list(calls.values()) == [1, 1]
 
 
-@pytest.mark.parametrize("bad", [{"n_t": 0}, {"n_r": -4}, {"n_angle": 0}, {"n_axis": 2.0},
+@pytest.mark.parametrize("bad", [{"n_r": -4}, {"n_angle": 0}, {"n_axis": 2.0},
                                  {"n_r": True}, {"radius": float("nan")},
                                  {"radius": float("inf")}, {"radius": 0.0}, {"radius": "1"}],
                          ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from qmlab.errors import RefinePathError, ValidationError
-from qmlab.hamflow import (BumpField, HamiltonianScenario, HyperbolicForm,
-                           RadialField, calabi, concat_scenarios, integrate_flow)
+from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, HamiltonianScenario,
+                           HyperbolicForm, RadialField, SumField, TimeProfile, calabi,
+                           concat_scenarios, integrate_flow)
 from qmlab.hypgeo import (CirclePath, DiskIsotopy, OneForm, UnitDirection,
                           _endpoint_angles, _mobius, angle_estimate, cal_s_estimate,
                           circle_index, concat_circle_paths, fiber_index_spread,
@@ -382,12 +383,41 @@ def test_isotopy_validation_and_json():
     assert back.chart_radius == pytest.approx(iso.chart_radius)
 
 
-def test_mean_zero_constant_sign():
-    iso = radial_iso(amplitude=1.0, dt=0.01)
-    # positive H integrates positively, so c is negative
-    assert iso.mean_zero_constant(0.0) < 0
-    tot = iso.scenario.field.space_integral(iso.scenario.form, 0.0)
-    assert iso.mean_zero_constant(0.0) == pytest.approx(-tot / 2.0)
+def _mean_zero_fields():
+    """Fields of every kind supported in the disk of radius 0.55, most of them time-dependent."""
+    bump = BumpField(0.8, [0.1, 0.05], 0.3)
+    return {
+        "radial_t": RadialField([1.2, -0.4], support_radius=0.45,
+                                time=TimeProfile(poly=(1.0, 0.4), cos=((0.3, 1),))),
+        "bump": BumpField(5.0, [0.12, 0.0], 0.34),
+        "sum": SumField([BumpField(0.8, [0.2, 0.05], 0.2),
+                         BumpField(0.5, [-0.15, -0.1], 0.25, time=TimeProfile(sin=((0.5, 1),)))]),
+        # the radial part sets the support: with its C^2 cutoff edge inside the
+        # rule's domain, calabi's polar rule (and so c) is good to ~1e-7 only
+        "concat": ConcatField(RadialField([1.0], support_radius=0.45,
+                                          time=TimeProfile(poly=(0.3, 1.0))),
+                              BumpField(0.5, [0.1, 0.1], 0.3,
+                                        time=TimeProfile(poly=(0.2, 1.0), cos=((0.7, 2),)))),
+        "conjugated": ConjugatedField(bump, np.array([[1.2, 0.3], [0.0, 1.0 / 1.2]])),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_mean_zero_fields()))
+def test_mean_zero_constant_is_minus_the_mean_of_h(kind):
+    # c(t) = -(integral of H_t rho over U) / (2g - 2), here by a polar rule of its own on U
+    f = _mean_zero_fields()[kind]
+    sc = HamiltonianScenario(field=f, ball_radius=0.57, support_radius=f.support_radius + 1e-9,
+                             dt=0.01, form=HyperbolicForm())
+    iso = DiskIsotopy(scenario=sc, genus=GENUS, disk_area=disk_area_of(0.55))
+    x, wx = leggauss(600)
+    r, wr = 0.275 * (x + 1.0), 0.275 * wx
+    ang = 2.0 * np.pi * np.arange(512) / 512
+    pts = np.stack([np.outer(r, np.cos(ang)).ravel(), np.outer(r, np.sin(ang)).ravel()], axis=1)
+    w = np.repeat(wr * r, ang.size) * (2.0 * np.pi / ang.size) * sc.form.rho(pts)
+    for t in (0.0, 0.2, 0.45, 0.5, 0.8):
+        expect = -float(w @ f.value(pts, t)) / iso.total_area
+        assert iso.mean_zero_constant(t) == pytest.approx(expect, rel=1e-9)
+    assert iso.mean_constant_integral() == calabi(sc) / iso.total_area
 
 
 # ---------------------------------------------------------------- gg forms
