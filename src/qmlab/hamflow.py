@@ -956,39 +956,20 @@ def conjugate_scenario(sc: HamiltonianScenario, g: np.ndarray) -> HamiltonianSce
 # the integrator
 # --------------------------------------------------------------------------
 
-def _matmul_entries(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix products of entry-major stacks: (d, m, n) times (m, k, n) gives (d, k, n).
-
-    ``np.matmul`` on the batch views, not a sum of entry products: matmul
-    rounds each a x + b y with a fused multiply-add, which no elementwise
-    numpy op reproduces, so the tangents keep their rounding.
-    """
-    out = np.empty((a.shape[0], b.shape[1], a.shape[-1]))
-    np.matmul(_batched(a), _batched(b), out=_batched(out))
-    return out
-
-
 def _solve_batch(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched linear solve on entry-major arrays: mats (d, d, n), rhs (d, n) or (d, k, n).
 
-    Closed form for the dominant 2x2 case, one whole entry per op.
+    Closed form for the dominant 2x2 case, one whole entry per op; ``det``
+    broadcasts over the k columns of a (2, k, n) right-hand side, so every
+    row is solved by the same elementwise ops whatever the batch.
     """
     if mats.shape[0] == 2:
         a, b = mats[0, 0], mats[0, 1]
         c, d = mats[1, 0], mats[1, 1]
         det = a * d - b * c
-        if rhs.ndim == 2:
-            out = np.empty(rhs.shape)
-            out[0] = (d * rhs[0] - b * rhs[1]) / det
-            out[1] = (-c * rhs[0] + a * rhs[1]) / det
-            return out
-        inv = np.empty(mats.shape)
-        inv[0, 0] = d
-        inv[0, 1] = -b
-        inv[1, 0] = -c
-        inv[1, 1] = a
-        out = _matmul_entries(inv, rhs)
-        out /= det
+        out = np.empty(rhs.shape)
+        out[0] = (d * rhs[0] - b * rhs[1]) / det
+        out[1] = (-c * rhs[0] + a * rhs[1]) / det
         return out
     if rhs.ndim == 2:
         return np.ascontiguousarray(np.linalg.solve(_batched(mats), rhs.T[..., None])[..., 0].T)
@@ -1128,10 +1109,15 @@ class FlowMap:
         return (cur.T, _batched(tangent)) if tangent is not None else cur.T
 
     def _cayley(self, a_mid, tangent):
-        """(I - h/2 A)^{-1} (I + h/2 A) tangent: the tangent map of one midpoint step, applied."""
-        half = 0.5 * self.h
-        return _matmul_entries(_solve_batch(self._eye - half * a_mid, self._eye + half * a_mid),
-                               tangent)
+        """(I - h/2 A)^{-1} (I + h/2 A) tangent: the tangent map of one midpoint step, applied.
+
+        With B = h/2 A, (I - B)^{-1} (I + B) = 2 (I - B)^{-1} - I, so the
+        step is one linear solve against the tangent and two in-place ops.
+        """
+        out = _solve_batch(self._eye - (0.5 * self.h) * a_mid, tangent)
+        out *= 2.0
+        out -= tangent
+        return out
 
 
 def integrate_flow(sc: HamiltonianScenario, x0, t: float):

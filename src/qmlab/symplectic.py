@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .errors import (RefinementDepthError, RefinePathError, ValidationError)
+from .errors import RefinementDepthError, RefinePathError, ValidationError, convert
 from .harness import QmEvaluator
 
 SP_TOL = 1e-8           # Frobenius tolerance on M^T J0 M - J0; reject beyond, never repair
@@ -78,6 +78,8 @@ class LagrangianFrame:
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1]:
             raise ValidationError(f"expected a 2n x n frame, got shape {cols.shape}")
+        if not np.isfinite(cols).all():
+            raise ValidationError("frame entries must be finite")
         object.__setattr__(self, "columns", cols)
         n = cols.shape[1]
         svals = np.linalg.svd(cols, compute_uv=False)
@@ -174,6 +176,8 @@ class SpPath:
             raise ValidationError(f"expected (k, 2n, 2n) matrices, got {mats.shape}")
         if times.shape != (mats.shape[0],) or times.size < 1:
             raise ValidationError("times must match the number of samples")
+        if not (np.isfinite(times).all() and np.isfinite(mats).all()):
+            raise ValidationError("times and matrices must be finite")
         if np.any(np.diff(times) < 0):
             raise ValidationError("times must be nondecreasing")
         if np.linalg.norm(mats[0] - np.eye(mats.shape[1])) > SP_TOL:
@@ -391,11 +395,11 @@ def path_to_json(path: SpPath) -> dict:
 
 def path_from_json(data: dict) -> SpPath:
     try:
-        n = int(data["n"])
+        n = convert("n", data["n"], int, "SpPath JSON")
         times = np.asarray(data["times"], dtype=float)
         mats = np.asarray([np.asarray(row, dtype=float).reshape(2 * n, 2 * n)
                            for row in data["matrices"]])
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValidationError(f"malformed SpPath JSON: {exc}") from exc
     return SpPath(times, mats)
 
@@ -406,8 +410,8 @@ def frame_to_json(frame: LagrangianFrame) -> dict:
 
 def frame_from_json(data: dict) -> LagrangianFrame:
     try:
-        n = int(data["n"])
+        n = convert("n", data["n"], int, "LagrangianFrame JSON")
         cols = np.asarray(data["columns"], dtype=float).reshape(2 * n, n)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValidationError(f"malformed LagrangianFrame JSON: {exc}") from exc
     return LagrangianFrame(cols)

@@ -194,7 +194,10 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     with "amplitude": "x", or a "time" that is not an object, has a cos pair
     without its frequency, a non-numeric coefficient or a fractional
     frequency.  Isotopies: "genus": "two" and "genus": 2.9, and a valid one
-    (iso.json) for malformed cal_s and gg specs.  Scenarios nonfinite_<name>.json
+    (iso.json) for malformed cal_s and gg specs.  Sp paths loop_<name>.json
+    carry a NaN matrix entry or time, a short matrix row or a fractional n,
+    and frames frame_<name>.json a fractional n, too few columns or a NaN.
+    Scenarios nonfinite_<name>.json
     carry one NaN or infinite number ("nan" and "inf" strings parse as
     floats), and a mesh with a Morse function serves a reeb spec.
     """
@@ -212,7 +215,22 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     for name, genus in (("bad_genus", "two"), ("fractional_genus", 2.9), ("iso", 2)):
         write_json(tmp_path / f"{name}.json",
                    {"scenario": scenario_to_json(sc), "genus": genus, "disk_area": 0.6})
-    write_json(tmp_path / "loop.json", path_to_json(full_rotation_loop()))
+    loop = path_to_json(full_rotation_loop())
+    write_json(tmp_path / "loop.json", loop)
+    mid = len(loop["times"]) // 2
+    for name, row in (("matrix_nan", [float("nan")] + loop["matrices"][mid][1:]),
+                      ("row_short", loop["matrices"][mid][:-1])):
+        mats = list(loop["matrices"])
+        mats[mid] = row
+        write_json(tmp_path / f"loop_{name}.json", dict(loop, matrices=mats))
+    times = list(loop["times"])
+    times[mid] = float("nan")
+    write_json(tmp_path / "loop_time_nan.json", dict(loop, times=times))
+    write_json(tmp_path / "loop_n_fractional.json", dict(loop, n=1.5))
+    for name, frame in (("n_fractional", {"n": 1.5, "columns": [1.0, 0.0]}),
+                        ("columns_short", {"n": 1, "columns": [1.0]}),
+                        ("nan", {"n": 1, "columns": [1.0, float("nan")]})):
+        write_json(tmp_path / f"frame_{name}.json", frame)
     bump = {"kind": "bump", "amplitude": 0.5, "center": [0.1, 0.0], "radius": 0.5}
     grid = {"kind": "grid", "x0": -1.0, "x1": 1.0, "values": np.ones((5, 5)).tolist()}
     poly = {"kind": "poly", "monomials": [[[1, 1], 0.5]]}
@@ -236,6 +254,8 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     return tmp_path
 
 
+_BAD_PATHS = ("matrix_nan", "time_nan", "row_short", "n_fractional")
+_BAD_FRAMES = ("n_fractional", "columns_short", "nan")
 _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "center", "radius",
                          "monomial", "x0", "x1", "values", "g", "ball_radius")
 
@@ -272,7 +292,10 @@ _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "cent
                  {"b": [[0, -1, 1.0]]}, {"a": [[0.5, 0, 1.0]]}, {"a": [[0, 0, "nan"]]})]
     + [("calabi", {"scenario_file": f"nonfinite_{name}.json"}) for name in _NON_FINITE_SCENARIOS]
     + [("reeb", {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": True,
-                 "constant": "nan"})],
+                 "constant": "nan"})]
+    + [("phi", {"path_file": f"loop_{name}.json", "p": 4}) for name in _BAD_PATHS]
+    + [("phi", {"path_file": "loop.json", "frame_file": f"frame_{name}.json", "p": 4})
+       for name in _BAD_FRAMES],
     ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
         "quadrature_not_object", "quadrature_bad_value", "genus_not_int", "seed_not_int",
         "schedule_entry_not_int", "schedule_not_list", "bump_power_fractional",
@@ -283,7 +306,8 @@ _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "cent
         "fiber_samples_negative", "eta_not_object", "eta_number", "eta_a_not_list",
         "eta_monomial_short", "eta_exponent_not_int", "eta_exponent_negative",
         "eta_exponent_fractional", "eta_coefficient_nan"]
-    + [f"nonfinite_{name}" for name in _NON_FINITE_SCENARIOS] + ["reeb_constant_nan"])
+    + [f"nonfinite_{name}" for name in _NON_FINITE_SCENARIOS] + ["reeb_constant_nan"]
+    + [f"path_{name}" for name in _BAD_PATHS] + [f"frame_{name}" for name in _BAD_FRAMES])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)
     out = malformed_inputs / "out"

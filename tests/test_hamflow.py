@@ -665,6 +665,52 @@ def test_tangent_stack_with_frozen_rows():
     assert not np.shares_memory(kept, cols)
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_solve_batch_matches_linalg_solve(dim):
+    """The entry-major solve, (d, n) and (d, k, n) right-hand sides, within a few ulps."""
+    from qmlab.hamflow import _batched, _entries, _solve_batch
+    rng = np.random.default_rng(31)
+    mats = np.eye(dim)[:, :, None] + 0.3 * rng.standard_normal((dim, dim, 300))
+    cond = np.linalg.cond(_batched(mats))
+    for rhs in (rng.standard_normal((dim, 300)), rng.standard_normal((dim, 3, 300))):
+        cols = rhs[:, None] if rhs.ndim == 2 else rhs  # (d, k, n)
+        ref = _entries(np.linalg.solve(_batched(mats), _batched(cols)))
+        got = _solve_batch(mats, rhs)
+        assert got.shape == rhs.shape
+        bound = 4 * np.finfo(float).eps * cond * np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got.reshape(cols.shape) - ref) <= bound)
+
+
+def _cayley_inputs(dim, n, rng):
+    """A FlowMap with h = 0.2 and entry-major A = J0 S (S symmetric), tangents (d, d, n)."""
+    f = RadialField([0.8], support_radius=1.0, dim=dim)
+    engine = FlowMap(HamiltonianScenario(field=f, ball_radius=1.2, support_radius=1.0, dt=0.2))
+    s = rng.standard_normal((n, dim, dim))
+    a_mid = np.moveaxis(standard_j(dim // 2) @ (s + s.transpose(0, 2, 1)), 0, -1).copy()
+    tangent = np.moveaxis(rng.standard_normal((n, dim, dim)), 0, -1).copy()
+    return engine, a_mid, tangent
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_cayley_step_is_symplectic(dim):
+    """One Cayley step of A = J0 S maps the identity frame into Sp(2n): T^T J0 T = J0."""
+    engine, a_mid, _ = _cayley_inputs(dim, 200, np.random.default_rng(37))
+    eye = np.broadcast_to(np.eye(dim)[:, :, None], a_mid.shape).copy()
+    t = np.moveaxis(engine._cayley(a_mid, eye), -1, 0)
+    j = standard_j(dim // 2)
+    assert np.abs(t.transpose(0, 2, 1) @ j @ t - j).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_cayley_rows_do_not_depend_on_the_batch(dim):
+    """The Cayley step of a batch equals the step of each row alone, bit for bit."""
+    engine, a_mid, tangent = _cayley_inputs(dim, 50, np.random.default_rng(41))
+    batch = engine._cayley(a_mid, tangent)
+    for i in range(50):
+        alone = engine._cayley(a_mid[..., i:i + 1].copy(), tangent[..., i:i + 1].copy())
+        assert np.array_equal(batch[..., i:i + 1], alone)
+
+
 @pytest.mark.parametrize("case", ["radial_all_live", "sum_some_frozen"])
 def test_evolve_layout(case):
     """C- and F-ordered inputs give equal outputs and hook arguments, all of them batch-last."""
