@@ -30,12 +30,12 @@ from .meshes import (genus2_mesh, genus3_mesh, genus_chain_mesh, height_field,
                      sphere_mesh, torus_mesh)
 from .hamflow import (BirkhoffResult, BumpField, FlowMap, GridField,
                       HamiltonianScenario, HyperbolicForm, PolyBumpField,
-                      PrimitiveOneForm, QuadratureRule, RadialField,
-                      SRestrictionResult, StandardForm, SumField, TauResult,
-                      TimeProfile, birkhoff_average, calabi, concat_scenarios,
+                      QuadratureRule, RadialField, SRestrictionResult,
+                      StandardForm, SumField, TauResult, TimeProfile,
+                      birkhoff_average, calabi, concat_scenarios,
                       conjugate_scenario, integrate_flow, jacobian_path,
                       s_restriction_value, scenario_from_json, scenario_to_json,
-                      sum_scenarios, tau_ball, validate_primitive)
+                      sum_scenarios, tau_ball)
 from .hypgeo import (CalSResult, CirclePath, DiskIsotopy, GgResult, OneForm,
                      UnitDirection, angle_estimate, cal_s_estimate,
                      circle_index, concat_circle_paths, fiber_index_spread,

@@ -16,7 +16,7 @@ X_H = J0 grad H / rho.
 A new field kind implements ``value``, ``jet(pts, t, order)``, which
 returns the gradient and, for order 2, the Hessian from one pass over the
 points (``grad`` and ``hess`` are views of the jet), and ``separate(pts)``,
-its split H = sum_k a_k(t) h_k into spatial gradients and time factors with
+its split H = sum_k a_k(t) h_k into spatial values and time factors with
 exact integrals, from which ``calabi`` integrates each term in one pass.
 Each Newton iterate of the midpoint step evaluates one jet, which gives the
 velocity and the linearization together.  The jet builds its (N, d, d)
@@ -315,7 +315,7 @@ class HamiltonianField(ABC):
 
     @abstractmethod
     def separate(self, pts: np.ndarray) -> list:
-        """H = sum_k a_k(t) h_k as [(a_k, grad h_k(pts)), ...]; a_k(ts) and exact a_k.integral()."""
+        """H = sum_k a_k(t) h_k as [(a_k, h_k(pts)), ...]; a_k(ts) and exact a_k.integral()."""
 
     @abstractmethod
     def to_json(self) -> dict: ...
@@ -360,7 +360,7 @@ class SeparableField(HamiltonianField):
     hess = HamiltonianField.hess
 
     def separate(self, pts):
-        return [(self.time, self.spatial_jet(pts)[0])]
+        return [(self.time, self.spatial_value(pts))]
 
 
 def _horner(coef: tuple, x):
@@ -713,9 +713,9 @@ class ConcatField(HamiltonianField):
         return self.first.frozen(pts) & self.second.frozen(pts)
 
     def separate(self, pts):
-        return [(_HalfFactor(a, half), g)
+        return [(_HalfFactor(a, half), h)
                 for half, part in enumerate((self.first, self.second))
-                for a, g in part.separate(pts)]
+                for a, h in part.separate(pts)]
 
     def to_json(self):
         return {"kind": "concat", "parts": [self.first.to_json(), self.second.to_json()]}
@@ -765,7 +765,7 @@ class ConjugatedField(HamiltonianField):
         return self.base.frozen(self._pull_back(pts))
 
     def separate(self, pts):
-        return [(a, self._push_forward(g)) for a, g in self.base.separate(self._pull_back(pts))]
+        return self.base.separate(self._pull_back(pts))
 
     def to_json(self):
         return {"kind": "conjugated", "g": self.g.tolist(), "base": self.base.to_json()}
@@ -817,51 +817,6 @@ def field_from_json(data: dict, support_radius: float | None = None) -> Hamilton
 
 
 # --------------------------------------------------------------------------
-# primitives of the form
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrimitiveOneForm:
-    """lambda = a(r) (x dy - y dx) + d(shift), a primitive of the form.
-
-    The optional shift is a polynomial function (exact one-forms change
-    nothing in the Calabi integral: that is the primitive-independence
-    property under test).
-    """
-
-    form: SymplecticForm
-    shift: PolyBumpField | None = None
-
-    def covector(self, pts: np.ndarray) -> np.ndarray:
-        """lambda at the points as (N, dim) covectors: lambda_x(v) = sum(covector(x) * v)."""
-        j = standard_j(pts.shape[1] // 2)
-        r = np.linalg.norm(pts, axis=1)
-        cov = self.form.primitive_coefficient(r)[:, None] * (pts @ j.T)
-        if self.shift is not None:
-            cov = cov + self.shift.spatial_jet(pts)[0]
-        return cov
-
-
-def validate_primitive(prim: PrimitiveOneForm, dim: int, rng: np.random.Generator,
-                       n_points: int = 64, radius: float = 0.8, tol: float = 1e-8) -> float:
-    """Finite-difference check that d(lambda) equals the form; returns the worst error."""
-    form = prim.form
-    pts = form.sample_ball(radius, dim, n_points, rng)
-    h = 1e-5
-    worst = 0.0
-    j = standard_j(dim // 2)
-    diffs = [prim.covector(pts + h * e) - prim.covector(pts - h * e) for e in np.eye(dim)]
-    for i in range(dim):
-        for k in range(i + 1, dim):
-            d_ik = (diffs[i][:, k] - diffs[k][:, i]) / (2.0 * h)
-            nu_ik = form.rho(pts) * j.T[i, k]
-            worst = max(worst, float(np.max(np.abs(d_ik - nu_ik))))
-    if worst > tol:
-        raise ValidationError(f"d(lambda) != nu: finite-difference error {worst:.3e}")
-    return worst
-
-
-# --------------------------------------------------------------------------
 # scenarios
 # --------------------------------------------------------------------------
 
@@ -901,9 +856,6 @@ class HamiltonianScenario:
     @property
     def dim(self) -> int:
         return self.field.dim
-
-    def primitive(self, shift: PolyBumpField | None = None) -> PrimitiveOneForm:
-        return PrimitiveOneForm(self.form, shift)
 
 
 def scenario_to_json(sc: HamiltonianScenario) -> dict:
@@ -1263,27 +1215,30 @@ def _ball_nodes(dim: int, rule: QuadratureRule, radius: float):
     return pts[keep], w[keep]
 
 
-def _calabi_terms(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
-                  quadrature: QuadratureRule | None = None) -> list:
-    """[(a_k, S_k), ...]: S_k sums <lambda J0, grad h_k> = lambda(X_{h_k}) rho over the nodes.
+def _calabi_terms(sc: HamiltonianScenario, *, quadrature: QuadratureRule | None = None) -> list:
+    """[(a_k, S_k), ...]: S_k = -n sum_nodes w rho h_k, -n times the integral of h_k (dim = 2n).
 
-    By parts S_k is also minus the integral of h_k against the form d(lambda)."""
+    For any primitive lambda of the form and compactly supported h, Stokes
+    turns the integral of lambda(X_h) rho into this one, so no gradient and
+    no primitive enter.
+    """
     rule = quadrature or QuadratureRule()
     radius = rule.domain_radius(sc)
     if radius < sc.support_radius:
         raise ValidationError("quadrature domain smaller than the support")
     if radius > sc.ball_radius:
         raise ValidationError("quadrature domain exceeds the ball")
-    prim = primitive or sc.primitive()
     pts, w = _ball_nodes(sc.dim, rule, radius)
-    lam_j = (prim.covector(pts) @ standard_j(sc.dim // 2)) * w[:, None]
-    return [(a, float(np.sum(lam_j * g))) for a, g in sc.field.separate(pts)]
+    w = -(sc.dim // 2) * w * sc.form.rho(pts)
+    return [(a, float(w @ h)) for a, h in sc.field.separate(pts)]
 
 
-def calabi(sc: HamiltonianScenario, primitive: PrimitiveOneForm | None = None,
-           quadrature: QuadratureRule | None = None) -> float:
-    """The Calabi value, the integral of lambda(X_H) rho over ball and time: sum_k int a_k * S_k."""
-    return sum(a.integral() * s for a, s in _calabi_terms(sc, primitive, quadrature))
+def calabi(sc: HamiltonianScenario, *, quadrature: QuadratureRule | None = None) -> float:
+    """The Calabi value -n * (integral of H rho over ball and time) = sum_k int a_k * S_k.
+
+    It equals the integral of lambda(X_H) rho for every primitive lambda of the form.
+    """
+    return sum(a.integral() * s for a, s in _calabi_terms(sc, quadrature=quadrature))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ whose fiber infimum defines the angle function (the boundary angle is
 psi + 2 arg(1 + z exp(-i psi)), which never wraps: Re(1 + z exp(-i psi))
 >= 1 - |z| > 0); the homogenized integral of the angle over the surface is
 the invariant that restricts to the Calabi value on disk-supported maps.
-The mean-zero constant c(t) comes from ``calabi``'s per-term sums: for H
-compactly supported in U, the integral of lambda(X_H) is minus that of H.
+The mean-zero constant c(t) = -(integral of H_t over U) / (2g-2) comes from
+``calabi``'s per-term sums, which are minus the integrals of the terms h_k.
 
 Normalization (frozen): the fiber coordinate is measured in turns, the
 contact form is the Levi-Civita angular form over 2 pi, and the surface
@@ -25,6 +25,7 @@ Gauss-Legendre rule of the integrals here is ``hamflow``'s as well.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _calabi_term
 DISK_EDGE = 1.0 - 1e-12
 LIFT_GUARD = 0.5  # turns; a circle-path step at or past this aliases
 GEODESIC_NODES = 32  # Gauss-Legendre nodes of a geodesic line integral
+
+
+def _periods(p, name: str = "p"):
+    """p, if it is an integer >= 1 (a whole number of periods); else ValidationError."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {p!r}")
+    return p
 
 
 def _as_complex(z) -> complex:
@@ -169,7 +177,7 @@ class DiskIsotopy:
 
     @functools.cached_property
     def _terms(self) -> list:
-        """[(a_k, S_k), ...] of ``calabi``'s split, S_k = -(integral of h_k over U), once."""
+        """[(a_k, S_k), ...] of ``calabi``'s split, S_k = -(integral of h_k rho over U), once."""
         return _calabi_terms(self.scenario)
 
     def mean_zero_constant(self, t: float) -> float:
@@ -263,8 +271,7 @@ def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int) -> tuple[list, Circle
     Returns the sampled direction path [(t, point, chart angle), ...] and
     the continuously lifted boundary path at infinity over p periods.
     """
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    _periods(p)
     z = _chart_point(iso, v.base)
     state = _LiftState(iso, np.array([[z.real, z.imag]]), np.array([[v.angle]]), p, keep_trace=True)
     path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi in state.trace]
@@ -278,6 +285,7 @@ def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> float
     Outside the support (but inside U) the trajectory is fixed and the
     value is the exact analytic contribution p * integral of c.
     """
+    _periods(p)
     z = _chart_point(iso, x)
     if abs(z) >= iso.scenario.support_radius:
         return p * iso.mean_constant_integral()
@@ -308,8 +316,9 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
     Calabi invariant of the isotopy.  The reported std_error uses the
     i.i.d. formula and is conservative for the stratified draw.
     """
-    if p < 1 or n_points < 2 or fiber_samples < 1:
-        raise ValidationError("need p >= 1, n_points >= 2 and fiber_samples >= 1")
+    _periods(p)
+    if n_points < 2 or fiber_samples < 1:
+        raise ValidationError("need n_points >= 2 and fiber_samples >= 1")
     rng = np.random.default_rng(seed)
     form = iso.scenario.form
     pts = form.sample_ball_stratified(iso.chart_radius, 2, n_points, rng)
@@ -328,6 +337,7 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
 
 def fiber_index_spread(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> int:
     """max - min of the boundary index over fiber directions (paper bound: <= 2)."""
+    _periods(p)
     z = _chart_point(iso, x)
     indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples)
     return int(np.ptp(indices))
@@ -408,6 +418,7 @@ def gg_u(eta: OneForm, iso: DiskIsotopy, x, p: int) -> float:
 
     For disk-supported isotopies both endpoints stay in one lifted chart.
     """
+    _periods(p)
     z0 = _chart_point(iso, x)
     engine = FlowMap(iso.scenario)
     out = engine.evolve(np.array([[z0.real, z0.imag]]), periods=p)
@@ -434,10 +445,11 @@ def gg_quasimorphism_estimate(eta: OneForm, iso: DiskIsotopy, p: int,
     whole batch is evolved in one pass; with ``checkpoints`` (sorted
     powers <= p) a result is reported at every checkpoint and at p.
     """
-    if p < 1 or n_points < 1:
-        raise ValidationError("need p >= 1 and n_points >= 1")
-    marks = sorted(set(checkpoints) | {p})
-    if any(m < 1 or m > p for m in marks):
+    _periods(p)
+    if n_points < 1:
+        raise ValidationError("need n_points >= 1")
+    marks = sorted({_periods(m, "checkpoints") for m in checkpoints} | {p})
+    if marks[-1] > p:
         raise ValidationError("checkpoints must lie in [1, p]")
     rng = np.random.default_rng(seed)
     form = iso.scenario.form

@@ -3,10 +3,13 @@
 These deliberately avoid the code paths they check: surface integrals go
 through polygon clipping in barycentric coordinates (no Reeb graph, no
 pushforward densities), radial invariants through 1-d quadrature of closed
-forms, and rotation numbers through explicit orbit averages.
+forms, Calabi also as the integral of lambda(X_H) over space and time (the
+primitive form that the library turns into -n times the integral of H), and
+rotation numbers through explicit orbit averages.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 
@@ -93,6 +96,44 @@ def radial_calabi_oracle(omega_fn, r_supp, density=None):
         integrand = lambda r: prim_a(r) * omega_fn(r) * r ** 2 * rho(r) * 2.0 * np.pi * r
     val, err = quad(integrand, 0.0, r_supp, limit=200)
     return val
+
+
+def radial_calabi_4d_oracle(c, r_supp):
+    """Calabi of H = c (1 - r^2/R^2)^3 on R^4 (standard form), in closed form.
+
+    The value is -2 times the integral of H over the ball: with s = r^2/R^2,
+    -2 c 2 pi^2 (R^4 / 2) int_0^1 (1 - s)^3 s ds = -pi^2 c R^4 / 10.
+    """
+    return -np.pi ** 2 * c * r_supp ** 4 / 10.0
+
+
+def lambda_form_calabi(sc, shift=None):
+    """Calabi of a 2-d scenario as the integral of lambda(X_H) rho over its support disk and time.
+
+    lambda = a(r) (x dy - y dx) + d(shift), with a the form's chart primitive
+    coefficient and ``shift`` an optional field whose ``spatial_jet`` gives
+    the exact part.  The integrand is taken as written, with the full
+    gradient of H_t at every node of a 24-point Gauss-Legendre rule on each
+    half of [0, 1] (a concatenation switches parts at t = 1/2) and a polar
+    rule of 192 radii by 256 angles on the support disk; by Stokes it
+    equals -(integral of H rho) whatever the shift.
+    """
+    n_angle = 256
+    x, wx = leggauss(192)
+    r = 0.5 * sc.support_radius * (x + 1.0)
+    ang = 2.0 * np.pi * np.arange(n_angle) / n_angle
+    pts = np.stack([np.outer(r, np.cos(ang)).ravel(), np.outer(r, np.sin(ang)).ravel()], axis=1)
+    w = np.repeat(0.5 * sc.support_radius * wx * r, n_angle) * (2.0 * np.pi / n_angle)
+    lam = (sc.form.primitive_coefficient(np.repeat(r, n_angle))[:, None]
+           * np.stack([-pts[:, 1], pts[:, 0]], axis=1))
+    if shift is not None:
+        lam = lam + shift.spatial_jet(pts)[0]
+    u, wu = leggauss(24)
+    total = 0.0
+    for t, w_t in zip(np.concatenate([(u + 1.0) / 4.0, (u + 3.0) / 4.0]), np.tile(wu / 4.0, 2)):
+        g = sc.field.grad(pts, float(t))  # lambda(J0 grad H) = lambda_y H_x - lambda_x H_y
+        total += w_t * float(w @ (lam[:, 1] * g[:, 0] - lam[:, 0] * g[:, 1]))
+    return total
 
 
 def radial_tau_oracle(omega_fn, r_supp):

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from _oracles import radial_calabi_oracle, radial_tau_oracle
+from _oracles import (lambda_form_calabi, radial_calabi_4d_oracle, radial_calabi_oracle,
+                      radial_tau_oracle)
 from qmlab.errors import ValidationError
 from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap, GridField,
                            HamiltonianScenario, HyperbolicForm, PolyBumpField,
-                           PrimitiveOneForm, QuadratureRule, RadialField,
-                           StandardForm, SumField, TimeProfile, birkhoff_average,
-                           calabi, concat_scenarios, conjugate_scenario,
-                           field_from_json, integrate_flow, jacobian_path,
-                           s_restriction_value, scenario_from_json,
-                           scenario_to_json, sum_scenarios, tau_ball,
-                           validate_primitive)
+                           QuadratureRule, RadialField, StandardForm, SumField,
+                           TimeProfile, birkhoff_average, calabi, concat_scenarios,
+                           conjugate_scenario, field_from_json, integrate_flow,
+                           jacobian_path, s_restriction_value, scenario_from_json,
+                           scenario_to_json, sum_scenarios, tau_ball)
 from qmlab.symplectic import check_symplectic, phi_lag, standard_j
 
 
@@ -231,12 +230,13 @@ def test_calabi_negates_under_time_reversal():
 
 
 def test_calabi_primitive_independence():
+    # calabi's -(integral of H rho) against the integral of lambda(X_H) rho, with and without d(shift)
     sc = bump_scenario(1.1, [0.2, 0.15], 0.45)
     base = calabi(sc)
     shift = PolyBumpField([[(2, 1), 0.7], [(0, 1), -0.3], [(1, 0), 0.2]],
                           support_radius=sc.ball_radius - 1e-6)
-    shifted = calabi(sc, primitive=sc.primitive(shift=shift))
-    assert shifted == pytest.approx(base, abs=1e-6)
+    assert lambda_form_calabi(sc) == pytest.approx(base, abs=1e-6)
+    assert lambda_form_calabi(sc, shift=shift) == pytest.approx(base, abs=1e-6)
 
 
 def test_calabi_quadrature_domain_validation():
@@ -246,12 +246,24 @@ def test_calabi_quadrature_domain_validation():
 
 
 def test_primitive_exterior_derivative_check():
+    # d(lambda) = rho dx ^ dy by finite differences, lambda = a(r) (x dy - y dx) (+ d(shift))
     rng = np.random.default_rng(3)
-    validate_primitive(PrimitiveOneForm(StandardForm()), 2, rng)
-    validate_primitive(PrimitiveOneForm(StandardForm()), 4, rng, radius=0.5)
-    validate_primitive(PrimitiveOneForm(HyperbolicForm()), 2, rng, radius=0.7)
     shift = PolyBumpField([[(2, 1), 0.4]], support_radius=2.0)
-    validate_primitive(PrimitiveOneForm(StandardForm(), shift=shift), 2, rng)
+    h = 1e-5
+    for form, dim, radius, exact in ((StandardForm(), 2, 0.8, None), (StandardForm(), 4, 0.5, None),
+                                     (HyperbolicForm(), 2, 0.7, None), (StandardForm(), 2, 0.8, shift)):
+        j = standard_j(dim // 2)
+        pts = form.sample_ball(radius, dim, 64, rng)
+
+        def lam(x):
+            cov = form.primitive_coefficient(np.linalg.norm(x, axis=1))[:, None] * (x @ j.T)
+            return cov if exact is None else cov + exact.spatial_jet(x)[0]
+
+        diffs = [lam(pts + h * e) - lam(pts - h * e) for e in np.eye(dim)]
+        for i in range(dim):
+            for k in range(i + 1, dim):
+                d_ik = (diffs[i][:, k] - diffs[k][:, i]) / (2.0 * h)
+                assert np.max(np.abs(d_ik - form.rho(pts) * j.T[i, k])) <= 1e-8
 
 
 def test_hyperbolic_primitive_matches_connection_normalization():
@@ -273,8 +285,8 @@ def test_calabi_radial_hyperbolic_oracle():
     assert calabi(sc) == pytest.approx(oracle, abs=1e-6)
 
 
-def _calabi_per_time_node(sc, primitive=None):
-    """The Calabi quadrature one time node at a time, with the field's full gradient.
+def _calabi_per_time_node(sc):
+    """The Calabi quadrature one time node at a time: -n times the integral of H_t rho (dim 2n).
 
     The time rule is 24-node Gauss-Legendre on each half of [0, 1]: a
     concatenation switches parts at t = 1/2, and on each half every time
@@ -283,16 +295,12 @@ def _calabi_per_time_node(sc, primitive=None):
     """
     from qmlab.hamflow import _ball_nodes, _unit_gauss_legendre
     pts, w = _ball_nodes(sc.dim, QuadratureRule(), sc.support_radius)
-    rho = sc.form.rho(pts)
-    w = w * rho
-    j = standard_j(sc.dim // 2)
-    cov = (primitive or sc.primitive()).covector(pts)
+    w = w * sc.form.rho(pts)
     u, w_u = _unit_gauss_legendre(24)
     total = 0.0
     for t, w_t in zip(np.concatenate([0.5 * u, 0.5 + 0.5 * u]), np.tile(0.5 * w_u, 2)):
-        z = (sc.field.grad(pts, float(t)) @ j.T) / rho[:, None]
-        total += w_t * float(np.sum(w * np.sum(cov * z, axis=1)))
-    return total
+        total += w_t * float(w @ sc.field.value(pts, float(t)))
+    return -(sc.dim // 2) * total
 
 
 def _calabi_cases():
@@ -329,29 +337,40 @@ def _calabi_cases():
     return cases
 
 
-@pytest.mark.parametrize("kind", list(_calabi_cases()) + ["bump_shifted"])
+@pytest.mark.parametrize("kind", list(_calabi_cases()))
 def test_calabi_matches_per_time_node_quadrature(kind):
     """One spatial pass per term and exact time integrals give the per-time-node value."""
-    sc = _calabi_cases()["bump" if kind == "bump_shifted" else kind]
-    prim = None
-    if kind == "bump_shifted":
-        prim = sc.primitive(shift=PolyBumpField([[(2, 1), 0.7], [(0, 1), -0.3], [(1, 0), 0.2]],
-                                                support_radius=sc.ball_radius - 1e-6))
-    value = calabi(sc, primitive=prim)
+    sc = _calabi_cases()[kind]
+    value = calabi(sc)
     assert type(value) is float
-    assert value == pytest.approx(_calabi_per_time_node(sc, prim), rel=1e-14, abs=0.0)
+    assert value == pytest.approx(_calabi_per_time_node(sc), rel=1e-14, abs=0.0)
 
 
 def test_calabi_makes_one_spatial_pass_per_term(monkeypatch):
     calls = {}
     sc = _calabi_cases()["conjugated"]  # conjugated concat of a radial field and a bump
     for leaf in (sc.field.base.first, sc.field.base.second):
-        def counted(pts, order=1, leaf=leaf, real=leaf.spatial_jet):
+        def counted(pts, leaf=leaf, real=leaf.spatial_value):
             calls[leaf] = calls.get(leaf, 0) + 1
-            return real(pts, order)
-        monkeypatch.setattr(leaf, "spatial_jet", counted)
+            return real(pts)
+
+        def no_gradient(pts, order=1):
+            raise AssertionError("calabi evaluated a gradient")
+        monkeypatch.setattr(leaf, "spatial_value", counted)
+        monkeypatch.setattr(leaf, "spatial_jet", no_gradient)
     calabi(sc)
     assert list(calls.values()) == [1, 1]
+
+
+def test_calabi_conjugation_invariance():
+    # H o g^{-1} integrates like H for symplectic g; its support edge cuts across the polar rule
+    cases = _calabi_cases()
+    assert calabi(cases["conjugated"]) == pytest.approx(calabi(cases["concat"]), rel=1e-9)
+
+
+def test_calabi_4d_radial_closed_form():
+    sc = _calabi_cases()["radial_4d"]  # RadialField([0.8], support_radius=1.0, dim=4)
+    assert calabi(sc) == pytest.approx(radial_calabi_4d_oracle(0.8, 1.0), abs=5e-5)
 
 
 @pytest.mark.parametrize("bad", [{"n_r": -4}, {"n_angle": 0}, {"n_axis": 2.0},

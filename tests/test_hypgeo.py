@@ -253,6 +253,26 @@ def test_fiber_samples_must_be_positive():
                 estimate(iso, (0.1, 0.0), p=1, fiber_samples=k)
 
 
+_ETA = OneForm(a_monomials=((0, 0, 1.0),), b_monomials=((1, 0, 0.5),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda iso: angle_estimate(iso, (0.1, 0.0), p=0),
+    lambda iso: angle_estimate(iso, (0.1, 0.0), p=-2),
+    lambda iso: angle_estimate(iso, (0.5, 0.0), p=0),
+    lambda iso: fiber_index_spread(iso, (0.1, 0.0), p=0),
+    lambda iso: gg_u(_ETA, iso, (0.1, 0.0), p=-1),
+    lambda iso: gg_quasimorphism_estimate(_ETA, iso, p=4, n_points=4, checkpoints=(2.5,)),
+    lambda iso: theta_lift(iso, UnitDirection(0.1 + 0.0j, 0.0), p=1.5),
+    lambda iso: cal_s_estimate(iso, p=2.5, n_points=4),
+], ids=["angle_p0", "angle_p_negative", "angle_outside_support_p0", "spread_p0",
+        "gg_u_p_negative", "gg_checkpoint_fractional", "theta_lift_p_fractional",
+        "cal_s_p_fractional"])
+def test_period_counts_must_be_integers_at_least_one(call):
+    with pytest.raises(ValidationError):
+        call(zero_iso())
+
+
 def test_fiber_comparison_bound():
     iso = radial_iso(amplitude=1.4, dt=0.002)
     rng = np.random.default_rng(3)
@@ -392,9 +412,7 @@ def _mean_zero_fields():
         "bump": BumpField(5.0, [0.12, 0.0], 0.34),
         "sum": SumField([BumpField(0.8, [0.2, 0.05], 0.2),
                          BumpField(0.5, [-0.15, -0.1], 0.25, time=TimeProfile(sin=((0.5, 1),)))]),
-        # the radial part sets the support: with its C^2 cutoff edge inside the
-        # rule's domain, calabi's polar rule (and so c) is good to ~1e-7 only
-        "concat": ConcatField(RadialField([1.0], support_radius=0.45,
+        "concat": ConcatField(RadialField([1.0], support_radius=0.4,
                                           time=TimeProfile(poly=(0.3, 1.0))),
                               BumpField(0.5, [0.1, 0.1], 0.3,
                                         time=TimeProfile(poly=(0.2, 1.0), cos=((0.7, 2),)))),
