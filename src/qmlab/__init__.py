@@ -24,8 +24,8 @@ from .symplectic import (LagrangianFrame, PhiEvaluator, SpPath, WindingValue,
                          transversality_winding_check, winding)
 from .reeb import (GraphHamiltonian, MorseField, ReebEdge, ReebGraph, ReebNode,
                    SurfaceMesh, build_reeb, classify_vertices, graph_integral,
-                   prune, prune_step, random_morse_field, read_morse_csv,
-                   read_off, theorem2_value, trivalent_vertices, write_off)
+                   prune, random_morse_field, read_morse_csv, read_off,
+                   theorem2_value, trivalent_vertices, write_off)
 from .meshes import (genus2_mesh, genus3_mesh, genus_chain_mesh, height_field,
                      sphere_mesh, torus_mesh)
 from .hamflow import (BirkhoffResult, BumpField, FlowMap, GridField,

@@ -60,7 +60,7 @@ class ExperimentSpec:
             if required:
                 raise ValidationError(f"spec is missing required field {key!r}")
             return None
-        p = self.base_dir / rel
+        p = self.base_dir / convert(key, rel, str)
         if not p.is_file():
             raise ValidationError(f"{key} file {p} does not exist")
         return p
@@ -127,7 +127,7 @@ def _run_calabi(spec: ExperimentSpec, out_dir: Path) -> dict:
 
 def _run_reeb(spec: ExperimentSpec, out_dir: Path) -> dict:
     mesh = reeb.read_off(spec.path("mesh_file").read_text())
-    if spec.params.get("normalize", False):
+    if convert("normalize", spec.params.get("normalize", False), bool):
         mesh = mesh.normalized()
     f = reeb.read_morse_csv(spec.path("morse_file").read_text(), mesh.n_vertices)
     graph = reeb.build_reeb(mesh, f)

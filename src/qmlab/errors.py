@@ -5,10 +5,12 @@ declared contract (rejected, never repaired) and :class:`NumericalError`
 for failures arising during a computation (refinement caps, Newton
 divergence, violated invariants that signal a bug upstream).  ``convert``
 turns a malformed value from a spec or JSON file into a ValidationError;
-the CLI and the JSON loaders share it.
+the CLI and the JSON loaders share it, and ``period_count`` checks a period
+or power count.
 """
 
 import math
+import numbers
 
 
 class QmlabError(Exception):
@@ -24,8 +26,15 @@ def convert(key: str, value, kind: type, source: str = "spec"):
 
     A lossy conversion fails too: a float with a fractional part for an int.
     So does a float that is not finite (NaN or +-inf, also from a string).
+    For list, dict, str and bool it is a type check that returns ``value``
+    (a tuple passes as a list): ``list("148")`` and ``bool("no")`` would
+    misread it.
     """
     try:
+        if kind in (list, dict, str, bool):
+            if not isinstance(value, (list, tuple) if kind is list else kind):
+                raise TypeError(f"not a {kind.__name__}")
+            return value
         out = kind(value)
         if kind is int and isinstance(value, float) and out != value:
             raise ValueError("fractional part")
@@ -35,6 +44,13 @@ def convert(key: str, value, kind: type, source: str = "spec"):
         raise ValidationError(
             f"{source} field {key!r} is not a valid {kind.__name__}: {value!r}") from exc
     return out
+
+
+def period_count(p, name: str = "p"):
+    """p, if it is an integer >= 1 (a whole number of periods); else ValidationError."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {p!r}")
+    return p
 
 
 class NumericalError(QmlabError, RuntimeError):

@@ -47,7 +47,8 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import RectBivariateSpline
 
-from .errors import IntegrationError, NumericalError, ValidationError, convert
+from .errors import (IntegrationError, NumericalError, ValidationError, convert,
+                     period_count)
 from .symplectic import SpPath, _det2_from_complex, _turn_steps, standard_j
 
 NEWTON_TOL = 1e-12
@@ -268,7 +269,8 @@ class HyperbolicForm(SymplecticForm):
 
 
 def form_from_json(data) -> SymplecticForm:
-    kind = (data or {"kind": "standard"}).get("kind", "standard")
+    data = convert("form", {} if data is None else data, dict, "scenario JSON")
+    kind = data.get("kind", "standard")
     if kind == "standard":
         return StandardForm()
     if kind == "hyperbolic":
@@ -865,6 +867,8 @@ def scenario_to_json(sc: HamiltonianScenario) -> dict:
 
 
 def scenario_from_json(data: dict) -> HamiltonianScenario:
+    if not isinstance(data, dict):
+        raise ValidationError(f"scenario JSON must be an object, got {type(data).__name__}")
     try:
         h = data["H"]
         ball_radius = convert("ball_radius", data["ball_radius"], float, "scenario JSON")
@@ -1120,21 +1124,18 @@ def jacobian_path(sc: HamiltonianScenario, x0, p: int, sample_stride: int | None
     representative (hamflow owns this repair; symplinalg would reject raw
     density Jacobians).  Symplecticity drift beyond TOL_FLOW raises.
     """
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    period_count(p)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     engine = FlowMap(sc)
     stride = sample_stride or max(1, engine.steps_per_period // 64)
     n = sc.dim // 2
     samples = [np.eye(sc.dim)]
     times = [0.0]
-    rho0 = sc.form.rho(x0)[0]
 
     def hook(step, t_mid, mid, vel, new, tangent):
         if (step + 1) % stride == 0 or step + 1 == p * engine.steps_per_period:
             mat = tangent[0].copy()
             if sc.form.kind != "standard":
-                mat *= np.sqrt(rho0 / sc.form.rho(np.atleast_2d(new))[0])
                 mat /= np.sqrt(np.linalg.det(mat))
             samples.append(mat)
             times.append((step + 1) * engine.h / p)
@@ -1254,8 +1255,7 @@ def birkhoff_average(sc: HamiltonianScenario, phi, x, n_iterations: int) -> Birk
     No convergence claim; the last-quarter oscillation of the running
     average is returned as a diagnostic.
     """
-    if n_iterations < 1:
-        raise ValidationError("n_iterations must be positive")
+    period_count(n_iterations, "n_iterations")
     engine = FlowMap(sc)
     pts = np.atleast_2d(np.asarray(x, dtype=float)).copy()
     running = []
@@ -1288,8 +1288,9 @@ def tau_ball(sc: HamiltonianScenario, p: int, n_samples: int, seed: int) -> TauR
     factor is the form volume of the support ball (points outside the
     support contribute zero).
     """
-    if p < 1 or n_samples < 2:
-        raise ValidationError("need p >= 1 and n_samples >= 2")
+    period_count(p)
+    if n_samples < 2:
+        raise ValidationError("need n_samples >= 2")
     rng = np.random.default_rng(seed)
     pts = sc.form.sample_ball(sc.support_radius, sc.dim, n_samples, rng)
     engine = FlowMap(sc)

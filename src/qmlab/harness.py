@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, period_count
 
 Handle = Any
 
@@ -43,8 +43,7 @@ class QmEvaluator(ABC):
         """Return a handle for the product x*y."""
 
     def power(self, x: Handle, p: int) -> Handle:
-        if p < 1:
-            raise ValidationError("power requires p >= 1")
+        period_count(p)
         out = x
         for _ in range(p - 1):
             out = self.compose(out, x)
@@ -85,10 +84,10 @@ def homogenize(ev: QmEvaluator, x: Handle, p_schedule: Sequence[int]) -> Homogen
 
     Evaluator failures propagate wrapped with the offending power attached.
     """
-    schedule = list(p_schedule)
+    schedule = [period_count(p, "p_schedule") for p in p_schedule]
     if not schedule:
         raise ValidationError("p_schedule must be nonempty")
-    if any(p < 1 for p in schedule) or any(b <= a for a, b in zip(schedule, schedule[1:])):
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValidationError("p_schedule must be strictly increasing positive integers")
 
     samples: list[tuple[int, float]] = []

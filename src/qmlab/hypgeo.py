@@ -25,25 +25,18 @@ Gauss-Legendre rule of the integrals here is ``hamflow``'s as well.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, RefinePathError, ValidationError, convert
+from .errors import (NumericalError, RefinePathError, ValidationError, convert,
+                     period_count)
 from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _calabi_terms,
                       _unit_gauss_legendre, scenario_from_json, scenario_to_json)
 
 DISK_EDGE = 1.0 - 1e-12
 LIFT_GUARD = 0.5  # turns; a circle-path step at or past this aliases
 GEODESIC_NODES = 32  # Gauss-Legendre nodes of a geodesic line integral
-
-
-def _periods(p, name: str = "p"):
-    """p, if it is an integer >= 1 (a whole number of periods); else ValidationError."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {p!r}")
-    return p
 
 
 def _as_complex(z) -> complex:
@@ -195,14 +188,14 @@ def isotopy_to_json(iso: DiskIsotopy) -> dict:
 
 
 def isotopy_from_json(data: dict) -> DiskIsotopy:
+    if not isinstance(data, dict):
+        raise ValidationError(f"DiskIsotopy JSON must be an object, got {type(data).__name__}")
     try:
         genus = convert("genus", data["genus"], int, "DiskIsotopy JSON")
         disk_area = convert("disk_area", data["disk_area"], float, "DiskIsotopy JSON")
         scenario = data["scenario"]
     except KeyError as exc:
         raise ValidationError(f"malformed DiskIsotopy JSON: missing {exc}") from exc
-    except TypeError as exc:
-        raise ValidationError(f"malformed DiskIsotopy JSON: {exc}") from exc
     return DiskIsotopy(scenario=scenario_from_json(scenario), genus=genus, disk_area=disk_area)
 
 
@@ -271,7 +264,7 @@ def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int) -> tuple[list, Circle
     Returns the sampled direction path [(t, point, chart angle), ...] and
     the continuously lifted boundary path at infinity over p periods.
     """
-    _periods(p)
+    period_count(p)
     z = _chart_point(iso, v.base)
     state = _LiftState(iso, np.array([[z.real, z.imag]]), np.array([[v.angle]]), p, keep_trace=True)
     path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi in state.trace]
@@ -285,7 +278,7 @@ def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> float
     Outside the support (but inside U) the trajectory is fixed and the
     value is the exact analytic contribution p * integral of c.
     """
-    _periods(p)
+    period_count(p)
     z = _chart_point(iso, x)
     if abs(z) >= iso.scenario.support_radius:
         return p * iso.mean_constant_integral()
@@ -316,7 +309,7 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
     Calabi invariant of the isotopy.  The reported std_error uses the
     i.i.d. formula and is conservative for the stratified draw.
     """
-    _periods(p)
+    period_count(p)
     if n_points < 2 or fiber_samples < 1:
         raise ValidationError("need n_points >= 2 and fiber_samples >= 1")
     rng = np.random.default_rng(seed)
@@ -337,7 +330,7 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
 
 def fiber_index_spread(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> int:
     """max - min of the boundary index over fiber directions (paper bound: <= 2)."""
-    _periods(p)
+    period_count(p)
     z = _chart_point(iso, x)
     indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples)
     return int(np.ptp(indices))
@@ -418,7 +411,7 @@ def gg_u(eta: OneForm, iso: DiskIsotopy, x, p: int) -> float:
 
     For disk-supported isotopies both endpoints stay in one lifted chart.
     """
-    _periods(p)
+    period_count(p)
     z0 = _chart_point(iso, x)
     engine = FlowMap(iso.scenario)
     out = engine.evolve(np.array([[z0.real, z0.imag]]), periods=p)
@@ -445,10 +438,10 @@ def gg_quasimorphism_estimate(eta: OneForm, iso: DiskIsotopy, p: int,
     whole batch is evolved in one pass; with ``checkpoints`` (sorted
     powers <= p) a result is reported at every checkpoint and at p.
     """
-    _periods(p)
+    period_count(p)
     if n_points < 1:
         raise ValidationError("need n_points >= 1")
-    marks = sorted({_periods(m, "checkpoints") for m in checkpoints} | {p})
+    marks = sorted({period_count(m, "checkpoints") for m in checkpoints} | {p})
     if marks[-1] > p:
         raise ValidationError("checkpoints must lie in [1, p]")
     rng = np.random.default_rng(seed)

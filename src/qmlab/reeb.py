@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import coo_matrix
 
-from .errors import (DegenerateSaddleError, InvariantError, ValidationError)
+from .errors import DegenerateSaddleError, InvariantError, ValidationError, convert
 
 LEVEL_CONSTANCY_TOL = 1e-6   # importer rejects fields that vary along a level component
 NODE_CONSISTENCY_TOL = 1e-9  # incident-edge limits of a graph Hamiltonian must agree
@@ -306,27 +306,6 @@ class MorseField:
         return (self.values[u], u) < (self.values[v], v)
 
 
-def _lower_arc_groups(ring: list[int], is_low) -> list[list[int]]:
-    """Maximal cyclic runs of the ring where ``is_low`` holds."""
-    k = len(ring)
-    flags = [is_low(u) for u in ring]
-    if all(flags) or not any(flags):
-        return [ring[:]] if flags[0] else []
-    # rotate so the ring starts at a high vertex
-    start = flags.index(False)
-    groups, cur = [], []
-    for i in range(k):
-        u = ring[(start + i) % k]
-        if is_low(u):
-            cur.append(u)
-        elif cur:
-            groups.append(cur)
-            cur = []
-    if cur:
-        groups.append(cur)
-    return groups
-
-
 _KIND_BY_CODE = (KIND_MIN, KIND_MAX, KIND_REGULAR, KIND_SADDLE)
 
 
@@ -468,10 +447,6 @@ class ReebGraph:
             if e.hi != e.lo:
                 inc.setdefault(e.hi, []).append(e)
         return inc
-
-    def degree(self, node_id: int) -> int:
-        return sum((e.lo == node_id) + (e.hi == node_id)
-                   for e in self._incidence.get(node_id, ()))
 
     def degrees(self) -> dict[int, int]:
         deg = {nid: 0 for nid in self.nodes}
@@ -704,15 +679,11 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None) -> ReebGraph
             record_level(comp, lam)
             continue
 
-        # close the components on the lower arcs at one node
-        groups = _lower_arc_groups(ring, lambda u: pos[u] < k)
-        if len(groups) > 2:
-            raise DegenerateSaddleError(v)
-        closing: list[_Comp] = []
-        for group in groups:
-            comp = edge_comp[ek(group[0], v)]
-            if comp not in closing:
-                closing.append(comp)
+        # close the components on the lower arcs at one node; consecutive ring
+        # entries span a triangle with v, so all edges of one arc share a component
+        start = next((i for i, u in enumerate(ring) if pos[u] > k), 0)
+        closing = list(dict.fromkeys(edge_comp[ek(u, v)] for u in ring[start:] + ring[:start]
+                                     if pos[u] < k))
         node = len(nodes)
         nodes[node] = ReebNode(id=node, f=lam, kind=kinds[v], vertex=v)
         below = []
@@ -734,7 +705,7 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None) -> ReebGraph
             edge_comp.pop(e, None)
 
         # open one component per part: two when both lower arcs were on one circle
-        if len(closing) < len(groups):
+        if kinds[v] == KIND_SADDLE and len(closing) == 1:
             parts = split_parts(pool, k, v)
         elif pool:
             # a min starts from 0.0, a merge from its first component: signed zeros differ
@@ -807,49 +778,39 @@ def _collapse_breakpoints(bps: list[tuple[float, float]]) -> tuple:
 # pruning
 # --------------------------------------------------------------------------
 
-def prune_step(graph: ReebGraph, choose=min) -> ReebGraph | None:
-    """Remove one degree-1 node and its edge; None when no leaf remains.
+def prune(graph: ReebGraph) -> ReebGraph:
+    """Iterated leaf removal until only degree-2/3 nodes remain, in one pass.
 
-    ``choose`` selects among leaf candidates (lowest id by default; tests
-    may inject another order to check order independence of the result).
+    Removing a leaf's edge can only make its other end a leaf, which then
+    goes on the stack.  For genus <= 1 the result may degenerate (isolated
+    nodes are dropped; the sphere prunes to the empty graph).  For genus
+    >= 2 an empty result signals a construction bug and raises.
     """
     deg = graph.degrees()
+    gone: set[int] = set()
     leaves = [nid for nid, d in deg.items() if d == 1]
-    if not leaves:
-        return None
-    victim = choose(leaves)
-    edges = {eid: e for eid, e in graph.edges.items()
-             if e.lo != victim and e.hi != victim}
-    if len(edges) != len(graph.edges) - 1:
-        raise InvariantError("leaf node did not have exactly one incident edge")
-    nodes = {nid: n for nid, n in graph.nodes.items() if nid != victim}
-    return ReebGraph(nodes=nodes, edges=edges, genus=graph.genus)
-
-
-def prune(graph: ReebGraph, choose=min) -> ReebGraph:
-    """Iterated leaf removal until only degree-2/3 nodes remain.
-
-    For genus <= 1 the result may degenerate (isolated nodes are dropped;
-    the sphere prunes to the empty graph).  For genus >= 2 an empty result
-    signals a construction bug and raises.
-    """
-    g = graph
-    while True:
-        nxt = prune_step(g, choose=choose)
-        if nxt is None:
-            break
-        g = nxt
-    deg = g.degrees()
-    keep = {nid for nid, d in deg.items() if d > 0}
-    if len(keep) != len(g.nodes):
-        g = ReebGraph(nodes={nid: n for nid, n in g.nodes.items() if nid in keep},
-                      edges=g.edges, genus=g.genus)
-    if graph.genus >= 2 and not g.nodes:
+    while leaves:
+        nid = leaves.pop()
+        if deg[nid] != 1:  # both ends of a two-node path start as leaves
+            continue
+        live = [e for e in graph.incident_edges(nid) if e.id not in gone]
+        if len(live) != 1:
+            raise InvariantError("leaf node did not have exactly one incident edge")
+        e = live[0]
+        gone.add(e.id)
+        deg[e.lo] -= 1
+        deg[e.hi] -= 1
+        other = e.hi if e.lo == nid else e.lo
+        if deg[other] == 1:
+            leaves.append(other)
+    if graph.genus >= 2 and not any(deg.values()):
         raise InvariantError("pruning emptied a genus >= 2 graph")
-    bad = [d for d in g.degrees().values() if d not in (2, 3)]
+    bad = {d for d in deg.values() if d not in (0, 2, 3)}
     if bad:
-        raise InvariantError(f"pruned graph has degrees {sorted(set(bad))}")
-    return g
+        raise InvariantError(f"pruned graph has degrees {sorted(bad)}")
+    return ReebGraph(nodes={nid: n for nid, n in graph.nodes.items() if deg[nid]},
+                     edges={eid: e for eid, e in graph.edges.items() if eid not in gone},
+                     genus=graph.genus)
 
 
 def trivalent_vertices(pruned: ReebGraph) -> set[int]:
@@ -940,11 +901,20 @@ class GraphHamiltonian:
 
     @classmethod
     def from_json(cls, graph: ReebGraph, data: dict) -> "GraphHamiltonian":
+        source = "GraphHamiltonian JSON"
+        table = {}
         try:
-            table = {int(rec["id"]): [(float(c), float(h)) for c, h in rec["breakpoints"]]
-                     for rec in data["edges"]}
+            for rec in data["edges"]:
+                eid = convert("id", rec["id"], int, source)
+                if eid in table:
+                    raise ValidationError(f"{source} repeats edge {eid}")
+                table[eid] = [(convert("breakpoints", c, float, source),
+                               convert("breakpoints", h, float, source))
+                              for c, h in rec["breakpoints"]]
+        except ValidationError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed GraphHamiltonian JSON: {exc}") from exc
+            raise ValidationError(f"malformed {source}: {exc}") from exc
         return cls(graph, table)
 
 

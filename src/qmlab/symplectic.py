@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .errors import RefinementDepthError, RefinePathError, ValidationError, convert
+from .errors import (RefinementDepthError, RefinePathError, ValidationError, convert,
+                     period_count)
 from .harness import QmEvaluator
 
 SP_TOL = 1e-8           # Frobenius tolerance on M^T J0 M - J0; reject beyond, never repair
@@ -221,8 +222,7 @@ def full_rotation_loop(samples: int = 129) -> SpPath:
 
 def concat_power(path: SpPath, p: int) -> SpPath:
     """The p-fold concatenation t -> gamma_t * gamma(1)^k on segment k."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    period_count(p)
     if p == 1:
         return path
     mats = path.matrices
@@ -306,8 +306,7 @@ def phi_homog(path: SpPath, p: int, l0: LagrangianFrame | None = None) -> tuple[
 
     The returned pair (value, bound) satisfies |Phi([gamma]) - value| <= bound.
     """
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    period_count(p)
     value = phi_lag(concat_power(path, p), l0) / p
     return value, 2.0 * path.n / p
 

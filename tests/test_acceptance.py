@@ -26,8 +26,7 @@ from qmlab.hypgeo import (CirclePath, DiskIsotopy, OneForm, UnitDirection,
                           hyperbolic_distance, parallel_transport_rate)
 from qmlab.meshes import genus2_mesh, genus3_mesh, height_field
 from qmlab.reeb import (GraphHamiltonian, build_reeb, graph_integral, prune,
-                        prune_step, random_morse_field, theorem2_value,
-                        trivalent_vertices)
+                        random_morse_field, theorem2_value, trivalent_vertices)
 from qmlab.symplectic import (LagrangianFrame, coordinate_lagrangian,
                               full_rotation_loop, lagrangian_det2, phi_homog,
                               random_lagrangian, random_sp_path, standard_j,
@@ -137,14 +136,9 @@ def test_05_reeb_invariants_random_fields():
         for f in fields:
             graph = build_reeb(mesh, f)
             ok = ok and graph.euler_deficiency() == 2 - 2 * genus
-            cur = graph
-            while True:
-                nxt = prune_step(cur)
-                if nxt is None:
-                    break
-                ok = ok and nxt.euler_deficiency() == 2 - 2 * genus
-                cur = nxt
-            ok = ok and len(trivalent_vertices(prune(graph))) == 2 * genus - 2
+            core = prune(graph)
+            ok = ok and core.euler_deficiency() == 2 - 2 * genus
+            ok = ok and len(trivalent_vertices(core)) == 2 * genus - 2
             kinds = Counter(node.kind for node in graph.nodes.values())
             saddles = kinds.get("saddle", 0)
             extrema = kinds.get("min", 0) + kinds.get("max", 0)

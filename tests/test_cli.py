@@ -15,7 +15,7 @@ from qmlab.hamflow import (RadialField, HamiltonianScenario, HyperbolicForm,
                            StandardForm, scenario_to_json)
 from qmlab.hypgeo import DiskIsotopy, isotopy_to_json
 from qmlab.meshes import genus2_mesh, height_field
-from qmlab.reeb import random_morse_field, write_off
+from qmlab.reeb import GraphHamiltonian, build_reeb, random_morse_field, write_off
 from qmlab.symplectic import SpPath, full_rotation_loop, path_to_json
 
 
@@ -199,7 +199,11 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     and frames frame_<name>.json a fractional n, too few columns or a NaN.
     Scenarios nonfinite_<name>.json
     carry one NaN or infinite number ("nan" and "inf" strings parse as
-    floats), and a mesh with a Morse function serves a reeb spec.
+    floats), and a mesh with a Morse function serves a reeb spec.  Scenarios
+    form_<name>.json carry a "form" that is not an object, scenario_list.json
+    is a list, and iso_scenario_number.json has "scenario": 5.  Graph
+    Hamiltonians ham_<name>.json on the mesh's graph carry a NaN breakpoint,
+    a fractional edge id or one edge twice.
     """
     radial = json.loads(radial_scenario_file.read_text())
     write_json(tmp_path / "bad_dt.json", dict(radial, dt="fast"))
@@ -247,10 +251,22 @@ def malformed_inputs(tmp_path, radial_scenario_file):
                     ("g", {"kind": "conjugated", "g": [[1.0, "nan"], [0.0, 1.0]], "base": bump})):
         write_json(tmp_path / f"nonfinite_{name}.json", dict(radial, H=h))
     write_json(tmp_path / "nonfinite_ball_radius.json", dict(radial, ball_radius="inf"))
+    for name, form in (("string", "hyperbolic"), ("list", ["x"])):
+        write_json(tmp_path / f"form_{name}.json", dict(radial, form=form))
+    write_json(tmp_path / "scenario_list.json", [radial])
+    write_json(tmp_path / "iso_scenario_number.json",
+               {"scenario": 5, "genus": 2, "disk_area": 0.6})
     mesh = genus2_mesh(5)
     (tmp_path / "mesh.off").write_text(write_off(mesh))
     (tmp_path / "morse.csv").write_text("vertex_id,value\n" + "\n".join(
         f"{i},{v}" for i, v in enumerate(height_field(mesh).values)))
+    edges = GraphHamiltonian.constant(build_reeb(mesh, height_field(mesh)), 1.0).to_json()["edges"]
+    for name, recs in (("nan", [dict(edges[0], breakpoints=[[c, float("nan")]
+                                                            for c, _ in edges[0]["breakpoints"]])]
+                        + edges[1:]),
+                       ("id_fractional", [dict(edges[0], id=0.7)] + edges[1:]),
+                       ("id_repeated", edges + edges[:1])):
+        write_json(tmp_path / f"ham_{name}.json", {"edges": recs})
     return tmp_path
 
 
@@ -258,6 +274,8 @@ _BAD_PATHS = ("matrix_nan", "time_nan", "row_short", "n_fractional")
 _BAD_FRAMES = ("n_fractional", "columns_short", "nan")
 _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "center", "radius",
                          "monomial", "x0", "x1", "values", "g", "ball_radius")
+_BAD_HAMILTONIANS = ("nan", "id_fractional", "id_repeated")
+_REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": True}
 
 
 @pytest.mark.parametrize("kind, spec", [
@@ -291,8 +309,16 @@ _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "cent
      for eta in ([[1]], 3, {"a": 5}, {"a": [[1]]}, {"a": [["x", 0, 1.0]]},
                  {"b": [[0, -1, 1.0]]}, {"a": [[0.5, 0, 1.0]]}, {"a": [[0, 0, "nan"]]})]
     + [("calabi", {"scenario_file": f"nonfinite_{name}.json"}) for name in _NON_FINITE_SCENARIOS]
-    + [("reeb", {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": True,
-                 "constant": "nan"})]
+    + [("reeb", dict(_REEB_SPEC, constant="nan"))]
+    + [("reeb", dict(_REEB_SPEC, hamiltonian_file=f"ham_{name}.json"))
+       for name in _BAD_HAMILTONIANS]
+    + [("reeb", dict(_REEB_SPEC, normalize="no"))]
+    + [("calabi", {"scenario_file": name})
+       for name in ("form_string.json", "form_list.json", "scenario_list.json")]
+    + [("cal_s", {"isotopy_file": "iso_scenario_number.json", "p": 2, "n_points": 8,
+                  "seed": 1}),
+       ("phi", {"path_file": ["loop.json"], "p": 4}),
+       ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": "148"})]
     + [("phi", {"path_file": f"loop_{name}.json", "p": 4}) for name in _BAD_PATHS]
     + [("phi", {"path_file": "loop.json", "frame_file": f"frame_{name}.json", "p": 4})
        for name in _BAD_FRAMES],
@@ -307,6 +333,9 @@ _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "cent
         "eta_monomial_short", "eta_exponent_not_int", "eta_exponent_negative",
         "eta_exponent_fractional", "eta_coefficient_nan"]
     + [f"nonfinite_{name}" for name in _NON_FINITE_SCENARIOS] + ["reeb_constant_nan"]
+    + [f"reeb_hamiltonian_{name}" for name in _BAD_HAMILTONIANS]
+    + ["reeb_normalize_string", "form_string", "form_list", "scenario_list",
+       "isotopy_scenario_number", "path_file_list", "schedule_string"]
     + [f"path_{name}" for name in _BAD_PATHS] + [f"frame_{name}" for name in _BAD_FRAMES])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from qmlab.errors import ValidationError
+from qmlab.hamflow import (HamiltonianScenario, RadialField, birkhoff_average, jacobian_path,
+                           tau_ball)
 from qmlab.harness import (DefectEstimate, QmEvaluator, estimate_defect,
                            homogenize, homogenize_until)
-from qmlab.symplectic import PhiEvaluator, full_rotation_loop, random_sp_path
+from qmlab.symplectic import (PhiEvaluator, concat_power, full_rotation_loop, phi_homog,
+                              random_sp_path)
 
 
 class CircleLiftEvaluator(QmEvaluator):
@@ -146,3 +149,25 @@ def test_homogeneity_on_inverses():
         hx, _ = ev.evaluate(ev.power(x, 32)) / 32, None
         hinv = ev.evaluate(ev.power(ev.inverse(x), 32)) / 32
         assert hinv == pytest.approx(-hx, abs=2 * (2.0 / 32) + 1e-9)
+
+
+def _twist():
+    return HamiltonianScenario(field=RadialField([0.8], support_radius=1.0), ball_radius=1.2,
+                               support_radius=1.0, dt=0.05)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tau_ball(_twist(), p=2.5, n_samples=4, seed=1),
+    lambda: tau_ball(_twist(), p=True, n_samples=4, seed=1),
+    lambda: jacobian_path(_twist(), (0.3, 0.0), p=1.5),
+    lambda: birkhoff_average(_twist(), lambda x: x[0], (0.3, 0.0), n_iterations=2.5),
+    lambda: concat_power(full_rotation_loop(), 2.5),
+    lambda: phi_homog(full_rotation_loop(), 2.5),
+    lambda: CircleLiftEvaluator().power(translation(0.3), 2.5),
+    lambda: homogenize(CircleLiftEvaluator(), translation(0.3), [1, 2.5]),
+], ids=["tau_p_fractional", "tau_p_bool", "jacobian_p_fractional",
+        "birkhoff_iterations_fractional", "concat_power_fractional", "phi_homog_fractional",
+        "evaluator_power_fractional", "homogenize_schedule_fractional"])
+def test_period_counts_must_be_integers_at_least_one(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -7,9 +7,9 @@ from _oracles import surface_integral_oracle
 from qmlab.errors import (DegenerateSaddleError, InvariantError, ValidationError)
 from qmlab.meshes import (genus2_mesh, genus3_mesh, genus_chain_mesh,
                           height_field, sphere_mesh, torus_mesh)
-from qmlab.reeb import (GraphHamiltonian, MorseField, SurfaceMesh, _integrate_density_product,
-                        _lower_arc_groups, build_reeb, classify_vertices, graph_integral,
-                        graph_to_json, prune, prune_step, random_morse_field,
+from qmlab.reeb import (GraphHamiltonian, MorseField, ReebGraph, SurfaceMesh,
+                        _integrate_density_product, build_reeb, classify_vertices,
+                        graph_integral, graph_to_json, prune, random_morse_field,
                         read_morse_csv, read_off, theorem2_value,
                         trivalent_vertices, write_off)
 
@@ -203,6 +203,23 @@ def test_monkey_saddle_detected():
     assert err.value.vertex == 0
 
 
+def _lower_arc_groups(ring, is_low):
+    """Maximal cyclic runs of the ring where ``is_low`` holds."""
+    flags = [is_low(u) for u in ring]
+    if all(flags) or not any(flags):
+        return [ring[:]] if flags[0] else []
+    start = flags.index(False)  # rotate so the ring starts at a high vertex
+    groups, cur = [], []
+    for i in range(len(ring)):
+        u = ring[(start + i) % len(ring)]
+        if is_low(u):
+            cur.append(u)
+        elif cur:
+            groups.append(cur)
+            cur = []
+    return groups + [cur] if cur else groups
+
+
 def _reference_kinds(mesh, f):
     """Per-vertex classification by the tie-broken comparison (loop version)."""
     kinds = []
@@ -364,29 +381,38 @@ def test_prune_sphere_degenerates_to_empty():
     assert prune(graph).nodes == {}
 
 
-def test_prune_step_preserves_deficiency(g2):
+def test_prune_preserves_deficiency(g2):
     _, graph = g2
-    cur = graph
-    steps = 0
+    core = prune(graph)
+    assert core.euler_deficiency() == graph.euler_deficiency()
+    assert len(graph.nodes) - len(core.nodes) == 2  # min and max leaves
+
+
+def _peel_one_leaf_at_a_time(graph, rng):
+    """Remove one random leaf and its edge per step, rescanning all degrees."""
     while True:
-        nxt = prune_step(cur)
-        if nxt is None:
-            break
-        assert nxt.euler_deficiency() == graph.euler_deficiency()
-        cur = nxt
-        steps += 1
-    assert steps == 2  # min and max leaves
+        leaves = [nid for nid, d in graph.degrees().items() if d == 1]
+        if not leaves:
+            return {nid for nid, d in graph.degrees().items() if d}, set(graph.edges)
+        victim = leaves[int(rng.integers(len(leaves)))]
+        graph = ReebGraph(nodes={nid: n for nid, n in graph.nodes.items() if nid != victim},
+                          edges={eid: e for eid, e in graph.edges.items()
+                                 if victim not in (e.lo, e.hi)},
+                          genus=graph.genus)
 
 
-def test_prune_order_independent(g2):
-    _, graph = g2
+def test_prune_matches_leaf_peeling_in_any_order():
     rng = np.random.default_rng(3)
-    baseline = prune(graph)
-    for _ in range(5):
-        shuffled = prune(graph, choose=lambda ids: ids[int(rng.integers(len(ids)))]
-                         if isinstance(ids, list) else min(ids))
-        assert set(shuffled.nodes) == set(baseline.nodes)
-        assert set(shuffled.edges) == set(baseline.edges)
+    for genus in (1, 2, 3):
+        mesh = genus_chain_mesh(genus, 8)
+        for f in [height_field(mesh)] + [random_morse_field(mesh, rng) for _ in range(3)]:
+            graph = build_reeb(mesh, f)
+            core = prune(graph)
+            assert list(core.nodes) == [nid for nid in graph.nodes if nid in core.nodes]
+            assert list(core.edges) == [eid for eid in graph.edges if eid in core.edges]
+            for _ in range(3):
+                peeled = _peel_one_leaf_at_a_time(graph, rng)
+                assert peeled == (set(core.nodes), set(core.edges))
 
 
 def test_trivalent_counts():
@@ -602,7 +628,7 @@ def test_incident_edges_match_scan(g2):
         for nid in list(g.nodes) + [max(g.nodes) + 1]:
             scan = [e for e in g.edges.values() if nid in (e.lo, e.hi)]
             assert g.incident_edges(nid) == scan
-            assert g.degree(nid) == len(scan) == g.degrees().get(nid, 0)
+            assert len(scan) == g.degrees().get(nid, 0)
 
 
 def test_graph_json_shape(g2):
