@@ -18,8 +18,13 @@ returns the gradient and, for order 2, the Hessian from one pass over the
 points (``grad`` and ``hess`` are views of the jet), and ``separate(pts)``,
 its split H = sum_k a_k(t) h_k into spatial values and time factors with
 exact integrals, from which ``calabi`` integrates each term in one pass.
-Each Newton iterate of the midpoint step evaluates one jet, which gives the
-velocity and the linearization together.  The jet builds its (N, d, d)
+Each Newton iterate of the midpoint step evaluates one jet: the velocity,
+and the linearization with it (order 2) whenever something may read that,
+which is every iterate when tangents are transported.  A tangent-free step
+evaluates the velocity alone at the iterate that Newton's quadratic rate
+predicts to converge, and the linearization at the same midpoint only if it
+does not (``FlowMap._step``); the gradient's bits do not depend on the
+order, so no output does.  The jet builds its (N, d, d)
 Hessian batch-last, in (d, d, N) memory (``_batch_last``, or ``_batched`` of
 an entry-major array), one whole entry per op, for C- and F-ordered points
 alike: the midpoint loop keeps points, velocities, Newton matrices and
@@ -959,6 +964,8 @@ class FlowMap:
         self.sc = sc
         self.steps_per_period = max(1, round(span / sc.dt))
         self.h = span / self.steps_per_period
+        # the midpoint time of each step of a period, as ``evolve`` passes it to the hook
+        self.t_mids = tuple(j * self.h + 0.5 * self.h for j in range(self.steps_per_period))
         self._eye = np.eye(sc.dim)[:, :, None]  # broadcasts over the batch axis
         self.max_newton_iters = 0
         self._standard = sc.form.kind == "standard"
@@ -981,23 +988,41 @@ class FlowMap:
             vel = vel / rho
         return _apply_j(vel), None if lin is None else _apply_j(lin)
 
-    def _step(self, x, t_mid, tol):
+    def _step(self, x, t_mid, tol, linearize):
         """One midpoint step of entry-major points x: new points, midpoint velocity and DX_H there.
 
-        Every Newton iterate evaluates the velocity and its linearization
-        together; the converged iterate's linearization is the one the
-        Cayley tangent step needs.  Newton stops once the largest residual
-        is below ``tol``.
+        Newton stops once the largest residual is below ``tol``.  An iterate
+        evaluates the linearization with the velocity (an order-2 jet) when
+        something may read it: its own Newton solve, or, with ``linearize``,
+        the Cayley tangent step at the converged iterate.  Without
+        ``linearize``, the iterate that Newton's quadratic rate predicts to
+        converge, r_k^3 < tol r_{k-1}^2 from the last two residuals, takes
+        the velocity alone; if it does not converge after all, the
+        linearization at the same midpoint follows before the solve.  The
+        start point x counts as the iterate before the predictor: its
+        residual is h X_H(x), the predictor's correction.  The gradient's
+        bits do not depend on the jet's order, so neither do the iterates.
+        DX_H is None when only the velocity was evaluated.
         """
         h = self.h
-        w = x + h * self._field_jet(x, t_mid, 1)[0]
+        correction = h * self._field_jet(x, t_mid, 1)[0]
+        w = x + correction
+        # the last two residuals, read only without ``linearize``
+        prev, last = None, None if linearize else float(np.abs(correction).max())
         for it in range(NEWTON_MAX_ITER):
-            vel, a_mid = self._field_jet(0.5 * (x + w), t_mid, 2)
+            mid = 0.5 * (x + w)
+            # products, not powers: a float power raises OverflowError when Newton diverges
+            last_one = not linearize and prev is not None and last * last * last < tol * prev * prev
+            vel, a_mid = self._field_jet(mid, t_mid, 1 if last_one else 2)
             resid = w - x - h * vel
-            if np.abs(resid).max() < tol:
+            r = float(np.abs(resid).max())
+            if r < tol:
                 self.max_newton_iters = max(self.max_newton_iters, it)
                 return w, vel, a_mid
+            if a_mid is None:
+                a_mid = self._field_jet(mid, t_mid, 2)[1]
             w = w - _solve_batch(self._eye - (0.5 * h) * a_mid, resid)
+            prev, last = last, r
         raise IntegrationError(-1, "Newton iteration for the midpoint step did not converge")
 
     def evolve(self, pts, periods: int = 1, tangent=None, step_hook=None):
@@ -1007,6 +1032,11 @@ class FlowMap:
         runs after every accepted step; ``mid_vel`` is the converged
         midpoint velocity of that step.  The hook's arrays and the returned
         points (n, d) and tangents (n, d, k) are batch-last views.
+
+        With a tangent, every Newton iterate evaluates the field's Hessian,
+        and the Cayley step reads the converged one; without, the iterate
+        predicted to converge skips it (``_step``).  Points and hook
+        arguments are the same bits either way.
 
         Only the rows that the field's ``frozen`` mask leaves are stepped.
         A frozen row keeps its point (mid = new = start), has velocity 0
@@ -1040,16 +1070,15 @@ class FlowMap:
             return out
 
         stepped = not frozen.all()
-        half = 0.5 * self.h
         total = periods * self.steps_per_period
         for step in range(total):
-            t_mid = (step % self.steps_per_period) * self.h + half
+            t_mid = self.t_mids[step % self.steps_per_period]
             tol = NEWTON_TOL * (1.0 + np.abs(cur).max())
             if not stepped:
                 new, vel = cur.copy(), np.zeros_like(cur)
             else:
                 try:
-                    new, vel, a_mid = self._step(rows(cur), t_mid, tol)
+                    new, vel, a_mid = self._step(rows(cur), t_mid, tol, tangent is not None)
                 except IntegrationError as exc:
                     raise IntegrationError(
                         step, f"integrator failed at step {step}: {exc}") from exc
@@ -1258,12 +1287,20 @@ def birkhoff_average(sc: HamiltonianScenario, phi, x, n_iterations: int) -> Birk
     period_count(n_iterations, "n_iterations")
     engine = FlowMap(sc)
     pts = np.atleast_2d(np.asarray(x, dtype=float)).copy()
+    samples = [float(phi(pts[0]))]
+
+    def hook(step, t_mid, mid, vel, new, tangent):
+        if (step + 1) % engine.steps_per_period == 0:
+            samples.append(float(phi(new[0])))
+
+    # one evolve reaches every period end that is read: phi at x and at its
+    # first n_iterations - 1 images
+    engine.evolve(pts, periods=n_iterations - 1, step_hook=hook)
     running = []
     total = 0.0
-    for k in range(n_iterations):
-        total += float(phi(pts[0]))
+    for k, sample in enumerate(samples):
+        total += sample
         running.append(total / (k + 1))
-        pts = engine.evolve(pts, periods=1)
     value = running[-1]
     tail = running[-max(1, n_iterations // 4):]
     osc = max(abs(v - value) for v in tail)

@@ -224,6 +224,8 @@ class _LiftState:
                  keep_trace: bool = False):
         self.iso = iso
         self.engine = FlowMap(iso.scenario)
+        # c(t) at each step of a period, once: the hook reads it by step
+        self.c_mids = [iso.mean_zero_constant(t) for t in self.engine.t_mids]
         self.psi0 = psi0  # (N, k)
         self.dpsi = np.zeros(pts.shape[0])
         self.max_radius = float(np.max(np.linalg.norm(pts, axis=1)))
@@ -241,7 +243,8 @@ class _LiftState:
              new: np.ndarray, tangent):
         h = self.engine.h
         rate = transport_rate_points(mid, vel)
-        h_tilde = self.iso.scenario.field.value(mid, t_mid) + self.iso.mean_zero_constant(t_mid)
+        h_tilde = (self.iso.scenario.field.value(mid, t_mid)
+                   + self.c_mids[step % self.engine.steps_per_period])
         self.dpsi += h * (rate - 2.0 * np.pi * h_tilde)
         self.max_radius = max(self.max_radius, float(np.max(np.linalg.norm(new, axis=1))))
         if self.trace is not None:
@@ -388,22 +391,32 @@ def hyperbolic_distance(z0: complex, z1: complex) -> float:
 
 
 def geodesic_line_integral(eta: OneForm, z0: complex, z1: complex) -> float:
-    """Integral of eta along the hyperbolic geodesic from z0 to z1.
+    """Integral of eta along the hyperbolic geodesic from z0 to z1."""
+    return float(_geodesic_line_integrals(eta, [z0], [z1])[0])
 
-    The geodesic is the Mobius image of a radial segment, so the integral
-    is a single Gauss-Legendre sum over a closed-form parametrization.
+
+def _geodesic_line_integrals(eta: OneForm, z0, z1) -> np.ndarray:
+    """Integrals of eta along the hyperbolic geodesics from z0[i] to z1[i], (N,).
+
+    Each geodesic is the Mobius image of a radial segment, so each integral
+    is a single Gauss-Legendre sum over a closed-form parametrization; the
+    sums of all rows are one batched pass, and a row's value does not
+    depend on the others.  A row's two scalars, the image w1 of z1 and
+    1 - |z0|^2, stay in the scalar arithmetic the one-point integral has
+    always used: numpy's array loops round a complex product (FMA) and a
+    complex modulus differently, which would move the integrals by ulps.
     """
-    w1 = _mobius(-z0, z1)
-    if abs(w1) < 1e-15:
-        return 0.0
+    rows = [(complex(a), complex(b)) for a, b in zip(z0, z1)]
+    w1 = np.array([_mobius(-a, b) for a, b in rows])
+    scale = np.array([1.0 - abs(a) ** 2 for a, _ in rows])
+    z0 = np.array([a for a, _ in rows])[:, None]
     ts, ws = _unit_gauss_legendre(GEODESIC_NODES)
-    tw = ts * w1
+    tw = ts * w1[:, None]
     curve = _mobius(z0, tw)
-    dcurve = w1 * (1.0 - abs(z0) ** 2) / (1.0 + np.conj(z0) * tw) ** 2
-    pts = np.stack([curve.real, curve.imag], axis=1)
-    a, b = eta.coefficients(pts)
+    dcurve = (w1 * scale)[:, None] / (1.0 + np.conj(z0) * tw) ** 2
+    a, b = eta.coefficients(np.stack([curve.real, curve.imag], axis=-1))
     integrand = a * dcurve.real + b * dcurve.imag
-    return float(np.sum(ws * integrand))
+    return np.where(np.abs(w1) < 1e-15, 0.0, np.sum(ws * integrand, axis=-1))
 
 
 def gg_u(eta: OneForm, iso: DiskIsotopy, x, p: int) -> float:
@@ -456,8 +469,7 @@ def gg_quasimorphism_estimate(eta: OneForm, iso: DiskIsotopy, p: int,
     for mark in marks:
         cur = engine.evolve(cur, periods=mark - done)
         done = mark
-        vals = np.array([geodesic_line_integral(eta, z0[i], complex(cur[i, 0], cur[i, 1]))
-                         for i in range(n_points)])
+        vals = _geodesic_line_integrals(eta, z0, [complex(x, y) for x, y in cur.tolist()])
         results.append(GgResult(value=float(np.mean(vals)) * measure / mark,
                                 max_abs_u=float(np.max(np.abs(vals))),
                                 p=mark, n_points=n_points, seed=seed))

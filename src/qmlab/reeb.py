@@ -844,6 +844,8 @@ class GraphHamiltonian:
             bps = _collapse_breakpoints(list(edge_breakpoints[eid]))
             cs = np.array([c for c, _ in bps])
             hs = np.array([h for _, h in bps])
+            if not (np.isfinite(cs).all() and np.isfinite(hs).all()):
+                raise ValidationError(f"graph Hamiltonian edge {eid} has a non-finite breakpoint")
             span = max(1.0, abs(edge.f_hi - edge.f_lo))
             if cs.size < 2 or cs[0] > edge.f_lo + 1e-12 * span or cs[-1] < edge.f_hi - 1e-12 * span:
                 raise ValidationError(f"breakpoints do not cover edge {eid}")

@@ -392,6 +392,26 @@ def test_birkhoff_constant_and_fixed_point():
     assert fixed.value == pytest.approx(0.0, abs=1e-20)
 
 
+@pytest.mark.parametrize("n_iterations", [1, 2, 7])
+def test_birkhoff_matches_per_period_loop(n_iterations):
+    """One evolve with a period-end hook gives the per-period loop's value, bit for bit."""
+    sc = bump_scenario(1.1, [0.2, 0.1], 0.5, dt=0.02,
+                       time=TimeProfile(poly=(1.0,), sin=((0.4, 1),)))
+    phi = lambda x: float(np.sin(3.0 * x[0]) + x[1] ** 2)
+    x = np.array([0.35, 0.05])
+    engine = FlowMap(sc)
+    pts, running, total = x[None], [], 0.0
+    for k in range(n_iterations):
+        total += phi(pts[0])
+        running.append(total / (k + 1))
+        pts = engine.evolve(pts, periods=1)
+    out = birkhoff_average(sc, phi, x, n_iterations)
+    tail = running[-max(1, n_iterations // 4):]
+    assert out.value == running[-1]
+    assert out.oscillation == max(abs(v - running[-1]) for v in tail)
+    assert out.n_iterations == n_iterations
+
+
 @pytest.mark.slow
 def test_birkhoff_equidistribution_on_irrational_circle():
     sc = radial_scenario(0.8, dt=0.005)
@@ -662,6 +682,105 @@ def test_frozen_rows_do_not_change_results(case, monkeypatch):
     for step, ref_step in zip(steps, ref_steps):
         for a, b in zip(step, ref_step):
             assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def _assert_tangent_free_run_is_the_tangent_run(sc, pts):
+    """Points, hook arguments and Newton counts of two periods without and with a tangent agree."""
+    tangent = np.broadcast_to(np.eye(sc.dim), (len(pts), sc.dim, sc.dim)).copy()
+    (out,), steps, iters = _recorded_evolve(sc, pts, None)
+    (ref_out, _), ref_steps, ref_iters = _recorded_evolve(sc, pts, tangent)
+    assert iters == ref_iters and len(steps) == len(ref_steps) == 2 * FlowMap(sc).steps_per_period
+    assert np.array_equal(out, ref_out)
+    for step, ref_step in zip(steps, ref_steps):
+        assert step[3] is None
+        for a, b in zip(step[:3], ref_step[:3]):
+            assert np.array_equal(a, b)
+
+
+# every field kind under the standard form, and the 2-d ones whose support fits
+# the hyperbolic chart (|z| < 1) under that form as well
+_FORM_CASES = [(kind, form) for kind in _JET_CASES for form in (StandardForm(), HyperbolicForm())
+               if form.kind == "standard"
+               or (_JET_CASES[kind][0].dim == 2 and _JET_CASES[kind][0].support_radius <= 0.9)]
+
+
+@pytest.mark.parametrize("kind, form", _FORM_CASES,
+                         ids=[f"{kind}-{form.kind}" for kind, form in _FORM_CASES])
+def test_tangent_free_evolve_matches_tangent_evolve(kind, form):
+    """Points, hook arguments and Newton counts do not depend on tangent transport, bit for bit.
+
+    Only a tangent-free step may skip the converged iterate's Hessian, so
+    this pins that skipping it changes no iterate.  Some rows are frozen.
+    """
+    f = _JET_CASES[kind][0]
+    ball = 0.95 if form.kind == "hyperbolic" else f.support_radius + 0.2
+    sc = HamiltonianScenario(field=f, ball_radius=ball, support_radius=f.support_radius + 1e-9,
+                             dt=0.02, form=form)
+    pts = form.sample_ball(0.97 * sc.ball_radius, sc.dim, 24, np.random.default_rng(43))
+    assert 0.0 < sc.field.frozen(pts).mean() < 1.0
+    _assert_tangent_free_run_is_the_tangent_run(sc, pts)
+
+
+def _step_jets(sc, pts, tangent):
+    """evolve over one period, returning each step's field jets as [(order, points), ...]."""
+    engine = FlowMap(sc)
+    jets, steps = [], []
+    field_jet = engine._field_jet
+
+    def recorded(x, t, order):
+        jets.append((order, x.copy()))
+        return field_jet(x, t, order)
+
+    def hook(*args):
+        steps.append(list(jets))
+        jets.clear()
+
+    engine._field_jet = recorded
+    engine.evolve(pts, tangent=tangent, step_hook=hook)
+    return steps
+
+
+@pytest.mark.parametrize("form", [StandardForm(), HyperbolicForm()], ids=lambda f: f.kind)
+@pytest.mark.parametrize("n", [1, 200])
+def test_tangent_free_radial_step_skips_the_last_hessian(form, n):
+    """A radial step makes (iterates - 1) order-2 jets without tangents, one per iterate with them.
+
+    The predictor and the converged iterate evaluate the velocity alone; the
+    tangent run evaluates the same midpoints with the Hessian.
+    """
+    sc = radial_scenario(dt=0.01, r_supp=0.8, ball=0.9, form=form)
+    pts = form.sample_ball(0.75, 2, n, np.random.default_rng(47))
+    free = _step_jets(sc, pts, None)
+    with_tangent = _step_jets(sc, pts, np.eye(2))
+    assert len(free) == len(with_tangent) == 100
+    for jets, ref in zip(free, with_tangent):
+        iterates = len(jets) - 1
+        assert iterates >= 2
+        assert [order for order, _ in jets] == [1] + [2] * (iterates - 1) + [1]
+        assert [order for order, _ in ref] == [1] + [2] * iterates
+        for (_, x), (_, ref_x) in zip(jets, ref):
+            assert np.array_equal(x, ref_x)
+
+
+def test_mispredicted_last_iterate_falls_back_to_the_hessian():
+    """An order-1 iterate that does not converge takes the Hessian at the same midpoint.
+
+    The steep hyperbolic bump mispredicts on some steps; the outputs still
+    equal the tangent run's, bit for bit.
+    """
+    f = BumpField(5.0, [0.12, 0.0], 0.34)
+    sc = HamiltonianScenario(field=f, ball_radius=0.58, support_radius=f.support_radius + 1e-9,
+                             dt=0.002, form=HyperbolicForm())
+    pts = HyperbolicForm().sample_ball(0.46, 2, 64, np.random.default_rng(1))
+    fallbacks = 0
+    for jets in _step_jets(sc, pts, None):
+        # every order-1 jet but the predictor and the converged iterate is a fallback
+        for (order, x), (next_order, next_x) in zip(jets[1:-1], jets[2:]):
+            if order == 1:
+                assert next_order == 2 and np.array_equal(x, next_x)
+                fallbacks += 1
+    assert fallbacks >= 1
+    _assert_tangent_free_run_is_the_tangent_run(sc, pts)
 
 
 def test_tangent_stack_with_frozen_rows():

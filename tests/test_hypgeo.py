@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from qmlab.errors import RefinePathError, ValidationError
-from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, HamiltonianScenario,
-                           HyperbolicForm, RadialField, SumField, TimeProfile, calabi,
-                           concat_scenarios, integrate_flow)
-from qmlab.hypgeo import (CirclePath, DiskIsotopy, OneForm, UnitDirection,
-                          _endpoint_angles, _mobius, angle_estimate, cal_s_estimate,
-                          circle_index, concat_circle_paths, fiber_index_spread,
-                          geodesic_endpoint, gg_quasimorphism_estimate, gg_u,
+from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap,
+                           HamiltonianScenario, HyperbolicForm, RadialField, SumField,
+                           TimeProfile, calabi, concat_scenarios, integrate_flow)
+from qmlab.hypgeo import (CirclePath, DiskIsotopy, OneForm, UnitDirection, _LiftState,
+                          _endpoint_angles, _geodesic_line_integrals, _mobius, angle_estimate,
+                          cal_s_estimate, circle_index, concat_circle_paths,
+                          fiber_index_spread, geodesic_endpoint, geodesic_line_integral,
+                          gg_quasimorphism_estimate, gg_u,
                           hyperbolic_distance, isotopy_from_json,
                           isotopy_to_json, parallel_transport_rate, theta_lift,
                           transport_rate_points)
@@ -438,6 +439,26 @@ def test_mean_zero_constant_is_minus_the_mean_of_h(kind):
     assert iso.mean_constant_integral() == calabi(sc) / iso.total_area
 
 
+def test_lift_reads_c_from_one_table_per_period(monkeypatch):
+    """c(t) is evaluated once per step of a period; the fiber increment equals a per-step hook's."""
+    iso = radial_iso(dt=0.02, time=TimeProfile(poly=(1.0,), sin=((0.5, 1),)))
+    pts = np.array([[0.2, 0.1], [-0.3, 0.05], [0.0, 0.4]])
+    c = iso.mean_zero_constant
+    calls = []
+    monkeypatch.setattr(DiskIsotopy, "mean_zero_constant", lambda self, t: calls.append(t) or c(t))
+    state = _LiftState(iso, pts, np.zeros((3, 1)), 3)
+    engine = FlowMap(iso.scenario)
+    assert calls == list(engine.t_mids) and len(calls) == 50
+    dpsi = np.zeros(3)
+
+    def hook(step, t_mid, mid, vel, new, tangent):
+        h_tilde = iso.scenario.field.value(mid, t_mid) + c(t_mid)
+        dpsi[:] += engine.h * (transport_rate_points(mid, vel) - 2.0 * np.pi * h_tilde)
+
+    engine.evolve(pts, periods=3, step_hook=hook)
+    assert np.array_equal(state.dpsi, dpsi)
+
+
 # ---------------------------------------------------------------- gg forms
 
 def test_gg_u_identity_map_is_zero():
@@ -477,6 +498,46 @@ def test_gg_u_straight_segment_against_quadrature():
     # geodesic through 0 along the real axis: integral of dx = euclidean length
     val = gg_u(eta, iso, (0.0, 0.0), p=1)
     assert val == 0.0
+
+
+_GG_ETA = OneForm(a_monomials=((0, 0, 0.8), (1, 1, -0.4)),
+                  b_monomials=((0, 0, -0.3), (2, 0, 0.6)))
+
+
+def test_geodesic_integrals_are_one_point_integrals_per_row():
+    """The batched sum equals one-point calls bit for bit, and a zero-length row is 0."""
+    rng = np.random.default_rng(53)
+    z0 = rng.uniform(-0.6, 0.6, 300) + 1j * rng.uniform(-0.6, 0.6, 300)
+    z1 = z0 + 0.3 * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
+    z1[:2] = z0[:2]
+    z1[2] = z0[2] + 1e-17
+    batch = _geodesic_line_integrals(_GG_ETA, z0, z1)
+    assert batch.shape == (300,) and not batch[:3].any() and np.all(batch[3:] != 0.0)
+    for i in range(300):
+        assert batch[i] == geodesic_line_integral(_GG_ETA, z0[i], z1[i])
+
+
+def test_geodesic_integral_through_the_centre_is_the_segment_integral():
+    """A geodesic from 0 is a euclidean segment: the polynomial integral along it, exactly."""
+    ts, ws = leggauss(8)
+    ts, ws = 0.5 * (ts + 1.0), 0.5 * ws
+    for z1 in (0.5 + 0.2j, -0.3 + 0.6j, 0.0 - 0.7j):
+        pts = np.stack([ts * z1.real, ts * z1.imag], axis=1)
+        a, b = _GG_ETA.coefficients(pts)
+        expect = float(np.sum(ws * (a * z1.real + b * z1.imag)))
+        assert geodesic_line_integral(_GG_ETA, 0j, z1) == pytest.approx(expect, abs=1e-14)
+
+
+def test_gg_estimate_is_the_mean_of_one_point_integrals():
+    iso = radial_iso(amplitude=1.3, dt=0.01)
+    form, support = iso.scenario.form, iso.scenario.support_radius
+    out = gg_quasimorphism_estimate(_GG_ETA, iso, p=2, n_points=12, seed=3)
+    pts = form.sample_ball(support, 2, 12, np.random.default_rng(3))
+    end = FlowMap(iso.scenario).evolve(pts, periods=2)
+    vals = np.array([geodesic_line_integral(_GG_ETA, complex(*x), complex(*y))
+                     for x, y in zip(pts, end)])
+    assert out.max_abs_u == float(np.max(np.abs(vals)))
+    assert out.value == float(np.mean(vals)) * form.ball_measure(support, 2) / 2
 
 
 def test_one_form_json_roundtrip():

@@ -530,6 +530,18 @@ def test_hamiltonian_node_consistency_enforced(g2):
         GraphHamiltonian(graph, {k: v for k, v in list(table.items())[1:]})
 
 
+@pytest.mark.parametrize("make", [
+    lambda g: GraphHamiltonian.from_function(g, lambda c: np.nan),
+    lambda g: GraphHamiltonian.constant(g, np.inf),
+    lambda g: GraphHamiltonian.constant(g, -np.inf),
+    lambda g: GraphHamiltonian(g, {eid: [(e.f_lo, 0.0), (np.nan, 0.0), (e.f_hi, 0.0)]
+                                   for eid, e in g.edges.items()}),
+], ids=["from_function_nan", "constant_inf", "constant_minus_inf", "nan_parameter"])
+def test_hamiltonian_rejects_non_finite_breakpoints(g2, make):
+    with pytest.raises(ValidationError, match="non-finite"):
+        make(g2[1])
+
+
 # ---------------------------------------------------------------- theorem 2
 
 def test_theorem2_constant_is_zero(g2):
