@@ -153,14 +153,10 @@ def _run_reeb(spec: ExperimentSpec, out_dir: Path) -> dict:
 def _run_cal_s(spec: ExperimentSpec, out_dir: Path) -> dict:
     iso = hypgeo.isotopy_from_json(json.loads(spec.path("isotopy_file").read_text()))
     out = hypgeo.cal_s_estimate(iso, p=spec.number("p", int),
-                                n_points=spec.number("n_points", int),
-                                fiber_samples=spec.number("fiber_samples", int, 8),
-                                seed=spec.seed)
+                                n_points=spec.number("n_points", int), seed=spec.seed)
     return {"value": out.value,
             "error": {"statistical": out.std_error, "deterministic": None},
-            "p": out.p, "n_points": out.n_points,
-            "fiber_samples": out.fiber_samples, "genus": iso.genus,
-            "disk_area": iso.disk_area}
+            "p": out.p, "n_points": out.n_points, "genus": iso.genus, "disk_area": iso.disk_area}
 
 
 def _run_defect(spec: ExperimentSpec, out_dir: Path) -> dict:

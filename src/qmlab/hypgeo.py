@@ -211,33 +211,43 @@ def _chart_point(iso: DiskIsotopy, x) -> complex:
     return z
 
 
-class _LiftState:
-    """The fiber evolution and boundary lift of a batch over p periods.
+def _fiber_range(z0: np.ndarray, z1: np.ndarray, dpsi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, hi), (N,) each: min and max over the fiber of the boundary turns D, z0 -> z1.
 
-    One fiber-angle increment serves every fiber offset, since the rate does
-    not depend on the direction.  The lift is ``_endpoint_angles`` at
-    psi0 + dpsi, which cannot wrap (Re(1 + z exp(-i psi)) >= 1 - |z| > 0), so
-    construction runs the flow and then sets ``eta - eta_start``, the turns.
+    With w = exp(i psi), a = z0 and b = z1 exp(-i dpsi), D = dpsi/2pi + arg((w + b)/(w + a))/pi
+    (both factors 1 + z/w have positive real part).  The unit circle goes to the circle of
+    centre c = 1 - (b - a) conj(a)/(1 - |a|^2) and radius |b - a|/(1 - |a|^2), which leaves
+    out 0, the image of -b (the disk goes outside): arg ranges over arg c -+ arcsin(radius/|c|).
+    """
+    b = z1 * np.exp(-1j * dpsi)
+    scale = 1.0 - np.abs(z0) ** 2
+    centre = 1.0 - (b - z0) * np.conj(z0) / scale
+    half = np.arcsin(np.abs(b - z0) / scale / np.abs(centre)) / np.pi
+    mid = dpsi / (2.0 * np.pi) + np.angle(centre) / np.pi
+    return mid - half, mid + half
+
+
+class _LiftState:
+    """The fiber evolution of a batch over p periods: start and end points ``z0``, ``z1``.
+
+    The fiber-angle increment ``dpsi`` does not depend on the direction, so one
+    per point fixes the boundary turns at every fiber angle (``_fiber_range``).
     """
 
-    def __init__(self, iso: DiskIsotopy, pts: np.ndarray, psi0: np.ndarray, p: int,
-                 keep_trace: bool = False):
+    def __init__(self, iso: DiskIsotopy, pts: np.ndarray, p: int, keep_trace: bool = False):
         self.iso = iso
         self.engine = FlowMap(iso.scenario)
         # c(t) at each step of a period, once: the hook reads it by step
         self.c_mids = [iso.mean_zero_constant(t) for t in self.engine.t_mids]
-        self.psi0 = psi0  # (N, k)
         self.dpsi = np.zeros(pts.shape[0])
         self.max_radius = float(np.max(np.linalg.norm(pts, axis=1)))
-        # (t, points, chart angles) at every step
-        self.trace = [(0.0, pts.copy(), psi0)] if keep_trace else None
+        # (t, points, fiber increment) at every step
+        self.trace = [(0.0, pts.copy(), self.dpsi.copy())] if keep_trace else None
         out = self.engine.evolve(pts, periods=p, step_hook=self.hook)
         if self.max_radius >= iso.chart_radius * (1.0 + 1e-9):
             raise NumericalError("a trajectory left the disk U (support violation)")
-        # (N, k) lifted boundary angles, turns
-        self.eta_start = _endpoint_angles(pts[:, 0] + 1j * pts[:, 1], psi0) / (2.0 * np.pi)
-        self.eta = _endpoint_angles(out[:, 0] + 1j * out[:, 1],
-                                    psi0 + self.dpsi[:, None]) / (2.0 * np.pi)
+        self.z0 = pts[:, 0] + 1j * pts[:, 1]
+        self.z1 = out[:, 0] + 1j * out[:, 1]
 
     def hook(self, step: int, t_mid: float, mid: np.ndarray, vel: np.ndarray,
              new: np.ndarray, tangent):
@@ -248,17 +258,14 @@ class _LiftState:
         self.dpsi += h * (rate - 2.0 * np.pi * h_tilde)
         self.max_radius = max(self.max_radius, float(np.max(np.linalg.norm(new, axis=1))))
         if self.trace is not None:
-            self.trace.append(((step + 1) * h, new.copy(), self.psi0 + self.dpsi[:, None]))
+            self.trace.append(((step + 1) * h, new.copy(), self.dpsi.copy()))
 
 
-def _boundary_indices(iso: DiskIsotopy, pts: np.ndarray, p: int, fiber_samples: int) -> np.ndarray:
-    """floor(eta - eta_start) over p periods, (N, k), at k equally spaced fiber angles."""
-    if fiber_samples < 1:
-        raise ValidationError("fiber_samples must be >= 1")
-    psi0 = np.broadcast_to(2.0 * np.pi * np.arange(fiber_samples) / fiber_samples,
-                           (pts.shape[0], fiber_samples))
-    state = _LiftState(iso, pts, psi0, p)
-    return np.floor(state.eta - state.eta_start)
+def _boundary_indices(iso: DiskIsotopy, pts: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """floor(min D) and floor(max D) over the fiber, (N,) each, for the lift over p periods."""
+    state = _LiftState(iso, pts, p)
+    lo, hi = _fiber_range(state.z0, state.z1, state.dpsi)
+    return np.floor(lo), np.floor(hi)
 
 
 def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int) -> tuple[list, CirclePath]:
@@ -269,24 +276,24 @@ def theta_lift(iso: DiskIsotopy, v: UnitDirection, p: int) -> tuple[list, Circle
     """
     period_count(p)
     z = _chart_point(iso, v.base)
-    state = _LiftState(iso, np.array([[z.real, z.imag]]), np.array([[v.angle]]), p, keep_trace=True)
-    path = [(t, complex(pt[0, 0], pt[0, 1]), float(psi[0, 0])) for t, pt, psi in state.trace]
+    state = _LiftState(iso, np.array([[z.real, z.imag]]), p, keep_trace=True)
+    path = [(t, complex(pt[0, 0], pt[0, 1]), v.angle + float(d[0])) for t, pt, d in state.trace]
     _, zs, psis = map(np.array, zip(*path))
     return path, CirclePath(_endpoint_angles(zs, psis[:, None])[:, 0] / (2.0 * np.pi))
 
 
-def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> float:
-    """-min over fiber directions of the boundary index of the lift at x.
+def angle_estimate(iso: DiskIsotopy, x, p: int, fiber_samples=None) -> float:
+    """-min over the fiber of the boundary index of the lift at x, -floor(min D), exactly.
 
-    Outside the support (but inside U) the trajectory is fixed and the
-    value is the exact analytic contribution p * integral of c.
+    Outside the support (but inside U) the trajectory is fixed and the value is the
+    analytic p * integral of c.  ``fiber_samples`` is ignored (perfbench passes it).
     """
     period_count(p)
     z = _chart_point(iso, x)
     if abs(z) >= iso.scenario.support_radius:
         return p * iso.mean_constant_integral()
-    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples)
-    return float(-np.min(indices))
+    lo, _ = _boundary_indices(iso, np.array([[z.real, z.imag]]), p)
+    return float(-lo[0])
 
 
 @dataclass(frozen=True)
@@ -295,12 +302,10 @@ class CalSResult:
     std_error: float
     p: int
     n_points: int
-    fiber_samples: int
     seed: int
 
 
-def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int = 8,
-                   seed: int = 0) -> CalSResult:
+def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, seed: int = 0) -> CalSResult:
     """Monte Carlo estimate of the homogenized angle integral over the surface.
 
     Points are drawn form-uniformly on U (stratified in equal-measure
@@ -313,8 +318,8 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
     i.i.d. formula and is conservative for the stratified draw.
     """
     period_count(p)
-    if n_points < 2 or fiber_samples < 1:
-        raise ValidationError("need n_points >= 2 and fiber_samples >= 1")
+    if n_points < 2:
+        raise ValidationError("need n_points >= 2")
     rng = np.random.default_rng(seed)
     form = iso.scenario.form
     pts = form.sample_ball_stratified(iso.chart_radius, 2, n_points, rng)
@@ -323,20 +328,19 @@ def cal_s_estimate(iso: DiskIsotopy, p: int, n_points: int, fiber_samples: int =
     c_bar = iso.mean_constant_integral()
     vals = np.full(n_points, c_bar)
     if np.any(inside):
-        indices = _boundary_indices(iso, pts[inside], p, fiber_samples)
-        vals[inside] = -np.min(indices, axis=1) / p
+        lo, _ = _boundary_indices(iso, pts[inside], p)
+        vals[inside] = -lo / p
     value = float(np.mean(vals)) * iso.disk_area + c_bar * (iso.total_area - iso.disk_area)
     std_error = float(np.std(vals, ddof=1) / np.sqrt(n_points)) * iso.disk_area
-    return CalSResult(value=value, std_error=std_error, p=p, n_points=n_points,
-                      fiber_samples=fiber_samples, seed=seed)
+    return CalSResult(value=value, std_error=std_error, p=p, n_points=n_points, seed=seed)
 
 
-def fiber_index_spread(iso: DiskIsotopy, x, p: int, fiber_samples: int = 8) -> int:
-    """max - min of the boundary index over fiber directions (paper bound: <= 2)."""
+def fiber_index_spread(iso: DiskIsotopy, x, p: int) -> int:
+    """max - min of the boundary index over the fiber, exactly (paper bound: <= 2)."""
     period_count(p)
     z = _chart_point(iso, x)
-    indices = _boundary_indices(iso, np.array([[z.real, z.imag]]), p, fiber_samples)
-    return int(np.ptp(indices))
+    lo, hi = _boundary_indices(iso, np.array([[z.real, z.imag]]), p)
+    return int(hi[0] - lo[0])
 
 
 # --------------------------------------------------------------------------

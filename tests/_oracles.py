@@ -5,7 +5,8 @@ through polygon clipping in barycentric coordinates (no Reeb graph, no
 pushforward densities), radial invariants through 1-d quadrature of closed
 forms, Calabi also as the integral of lambda(X_H) over space and time (the
 primitive form that the library turns into -n times the integral of H), and
-rotation numbers through explicit orbit averages.
+rotation numbers through explicit orbit averages, and the fiber range of the
+boundary turns through sampled lifts (no closed form).
 """
 
 import numpy as np
@@ -140,3 +141,34 @@ def radial_tau_oracle(omega_fn, r_supp):
     """tau of a radial twist: int over the ball of Omega(r)/pi, standard form."""
     val, err = quad(lambda r: (omega_fn(r) / np.pi) * 2.0 * np.pi * r, 0.0, r_supp, limit=200)
     return val
+
+
+def sampled_fiber_range(z0, z1, dpsi, k, refine=0):
+    """(min, max) over k equally spaced fiber angles of the boundary turns D, (N,) each.
+
+    D at psi is the lifted boundary angle of (z1, psi + dpsi) minus that of
+    (z0, psi), in turns, through ``_endpoint_angles``: the sampled fiber that
+    ``cal_s`` used before the closed-form range.  Each of ``refine`` rounds
+    resamples k angles across the two grid cells around each row's extremum;
+    D has one minimum and one maximum on the circle, so the extremum stays
+    inside that window.
+    """
+    # imported here: perfbench imports this module and should not depend on qmlab's private names
+    from qmlab.hypgeo import _endpoint_angles
+
+    z0, z1, dpsi = np.asarray(z0), np.asarray(z1), np.asarray(dpsi)
+
+    def turns(psi):
+        return (_endpoint_angles(z1, psi + dpsi[:, None]) / (2.0 * np.pi)
+                - _endpoint_angles(z0, psi) / (2.0 * np.pi))
+
+    grid = np.broadcast_to(2.0 * np.pi * np.arange(k) / k, (z0.size, k))
+    out = []
+    for sign in (1.0, -1.0):  # the min of D, then the max as -min(-D)
+        psi, vals, cell = grid, sign * turns(grid), 2.0 * np.pi / k
+        for _ in range(refine):
+            best = psi[np.arange(z0.size), np.argmin(vals, axis=1)]
+            psi = best[:, None] + cell * np.linspace(-1.0, 1.0, k)
+            vals, cell = sign * turns(psi), 2.0 * cell / (k - 1)
+        out.append(sign * np.min(vals, axis=1))
+    return tuple(out)

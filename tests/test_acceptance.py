@@ -223,7 +223,7 @@ def test_09_theorem1_disk_case():
     details = []
     for name, iso in theorem1_isotopies():
         cal = calabi(iso.scenario)
-        est = cal_s_estimate(iso, p=64, n_points=2000, fiber_samples=8, seed=42)
+        est = cal_s_estimate(iso, p=64, n_points=2000, seed=42)
         rel = abs(est.value - cal) / abs(cal)
         ok = ok and rel <= 0.05
         details.append(f"{name}: rel={rel:.2%}")

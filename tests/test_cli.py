@@ -134,6 +134,20 @@ def test_cal_s_kind(tmp_path):
     assert record["seed"] == 3
 
 
+def test_cal_s_ignores_fiber_samples(tmp_path):
+    """The fiber infimum is exact: a spec's ``fiber_samples`` is an unread key, never an error."""
+    f = RadialField([0.8], support_radius=0.4)
+    sc = HamiltonianScenario(field=f, ball_radius=0.55, support_radius=0.4,
+                             dt=0.01, form=HyperbolicForm())
+    write_json(tmp_path / "iso.json",
+               isotopy_to_json(DiskIsotopy(scenario=sc, genus=2, disk_area=2 * 0.25 / 0.75)))
+    spec = write_json(tmp_path / "spec.json", {"isotopy_file": "iso.json", "p": 1, "n_points": 8,
+                                               "fiber_samples": 8, "seed": 1})
+    assert cli.main(["cal_s", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    record = json.loads((tmp_path / "out" / "cal_s_result.json").read_text())
+    assert "fiber_samples" not in record["result"]
+
+
 def test_cal_s_rejects_low_genus(tmp_path):
     f = RadialField([0.5], support_radius=0.4)
     sc = HamiltonianScenario(field=f, ball_radius=0.55, support_radius=0.4,
@@ -301,10 +315,6 @@ _REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": T
     ("calabi", {"scenario_file": "bad_time_pair.json"}),
     ("calabi", {"scenario_file": "bad_time_coefficient.json"}),
     ("calabi", {"scenario_file": "bad_time_k.json"}),
-    ("cal_s", {"isotopy_file": "iso.json", "p": 2, "n_points": 8, "fiber_samples": 0,
-               "seed": 1}),
-    ("cal_s", {"isotopy_file": "iso.json", "p": 2, "n_points": 8, "fiber_samples": -3,
-               "seed": 1}),
 ] + [("gg", {"isotopy_file": "iso.json", "p": 2, "n_points": 4, "seed": 1, "eta": eta})
      for eta in ([[1]], 3, {"a": 5}, {"a": [[1]]}, {"a": [["x", 0, 1.0]]},
                  {"b": [[0, -1, 1.0]]}, {"a": [[0.5, 0, 1.0]]}, {"a": [[0, 0, "nan"]]})]
@@ -328,9 +338,8 @@ _REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": T
         "field_dim_fractional", "amplitude_not_float", "genus_fractional",
         "quadrature_n_t_zero", "quadrature_n_r_negative", "quadrature_n_angle_zero",
         "quadrature_radius_nan", "time_not_object", "time_pair_without_k",
-        "time_coefficient_not_float", "time_k_fractional", "fiber_samples_zero",
-        "fiber_samples_negative", "eta_not_object", "eta_number", "eta_a_not_list",
-        "eta_monomial_short", "eta_exponent_not_int", "eta_exponent_negative",
+        "time_coefficient_not_float", "time_k_fractional", "eta_not_object", "eta_number",
+        "eta_a_not_list", "eta_monomial_short", "eta_exponent_not_int", "eta_exponent_negative",
         "eta_exponent_fractional", "eta_coefficient_nan"]
     + [f"nonfinite_{name}" for name in _NON_FINITE_SCENARIOS] + ["reeb_constant_nan"]
     + [f"reeb_hamiltonian_{name}" for name in _BAD_HAMILTONIANS]

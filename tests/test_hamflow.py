@@ -1,10 +1,16 @@
 """Hamiltonian flow tests: integrator, Calabi, Birkhoff, tau, Theorem-3 value."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from _oracles import (lambda_form_calabi, radial_calabi_4d_oracle, radial_calabi_oracle,
                       radial_tau_oracle)
+import qmlab
 from qmlab.errors import ValidationError
 from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap, GridField,
                            HamiltonianScenario, HyperbolicForm, PolyBumpField,
@@ -371,6 +377,21 @@ def test_calabi_conjugation_invariance():
 def test_calabi_4d_radial_closed_form():
     sc = _calabi_cases()["radial_4d"]  # RadialField([0.8], support_radius=1.0, dim=4)
     assert calabi(sc) == pytest.approx(radial_calabi_4d_oracle(0.8, 1.0), abs=5e-5)
+
+
+def test_calabi_does_not_depend_on_the_blas_thread_count():
+    """The node sums run in numpy's fixed order: one and two BLAS threads give the same bits."""
+    code = ("from qmlab.hamflow import HamiltonianScenario, RadialField, calabi\n"
+            "f = RadialField([0.8], support_radius=1.0)\n"
+            "print(repr(calabi(HamiltonianScenario(field=f, ball_radius=1.2, support_radius=1.0,"
+            " dt=0.01))))")
+    src = str(Path(qmlab.__file__).resolve().parents[1])
+    values = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                                  PYTHONPATH=src)).stdout
+              for threads in ("1", "2")]
+    assert values[0] == values[1]
+    assert float(values[0]) == pytest.approx(-0.8 * np.pi / 4, abs=1e-4)
 
 
 @pytest.mark.parametrize("bad", [{"n_r": -4}, {"n_angle": 0}, {"n_axis": 2.0},

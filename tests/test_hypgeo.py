@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from _oracles import sampled_fiber_range
 from qmlab.errors import RefinePathError, ValidationError
 from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap,
                            HamiltonianScenario, HyperbolicForm, RadialField, SumField,
                            TimeProfile, calabi, concat_scenarios, integrate_flow)
 from qmlab.hypgeo import (CirclePath, DiskIsotopy, OneForm, UnitDirection, _LiftState,
-                          _endpoint_angles, _geodesic_line_integrals, _mobius, angle_estimate,
-                          cal_s_estimate, circle_index, concat_circle_paths,
+                          _endpoint_angles, _fiber_range, _geodesic_line_integrals, _mobius,
+                          angle_estimate, cal_s_estimate, circle_index, concat_circle_paths,
                           fiber_index_spread, geodesic_endpoint, geodesic_line_integral,
                           gg_quasimorphism_estimate, gg_u,
                           hyperbolic_distance, isotopy_from_json,
@@ -246,14 +247,6 @@ def test_theta_lift_is_the_unwrapped_mobius_angle():
     assert np.max(np.abs(offset - 2.0 * np.pi * k)) < 1e-12
 
 
-def test_fiber_samples_must_be_positive():
-    iso = radial_iso(dt=0.01)
-    for estimate in (angle_estimate, fiber_index_spread):
-        for k in (0, -3):
-            with pytest.raises(ValidationError):
-                estimate(iso, (0.1, 0.0), p=1, fiber_samples=k)
-
-
 _ETA = OneForm(a_monomials=((0, 0, 1.0),), b_monomials=((1, 0, 0.5),))
 
 
@@ -281,7 +274,7 @@ def test_fiber_comparison_bound():
         r = 0.4 * np.sqrt(rng.random())
         ang = rng.uniform(0, 2 * np.pi)
         x = (r * np.cos(ang), r * np.sin(ang))
-        assert fiber_index_spread(iso, x, p=4, fiber_samples=8) <= 2
+        assert fiber_index_spread(iso, x, p=4) <= 2
 
 
 def test_trajectory_leaving_disk_raises():
@@ -353,9 +346,75 @@ def test_angle_is_min_theta_lift_index():
                              dt=0.004, form=HyperbolicForm())
     iso = DiskIsotopy(scenario=sc, genus=GENUS, disk_area=disk_area_of(0.55))
     x = 0.15 - 0.05j
-    indices = [circle_index(theta_lift(iso, UnitDirection(x, 2.0 * np.pi * k / 8), p=2)[1])
-               for k in range(8)]
-    assert min(indices) == -angle_estimate(iso, x, p=2, fiber_samples=8)
+    paths = [theta_lift(iso, UnitDirection(x, 2.0 * np.pi * k / 8), p=2)[1] for k in range(8)]
+    state = _LiftState(iso, np.array([[x.real, x.imag]]), 2)
+    lo, hi = _fiber_range(state.z0, state.z1, state.dpsi)
+    for path in paths:
+        turns = path.lifted_angles[-1] - path.lifted_angles[0]
+        assert lo[0] - 1e-12 <= turns <= hi[0] + 1e-12
+    assert min(circle_index(path) for path in paths) >= -angle_estimate(iso, x, p=2)
+
+
+# ---------------------------------------------------------------- the fiber range
+
+@pytest.fixture(scope="module")
+def lifted_points():
+    """(z0, z1, dpsi) of 600 support points lifted over 4 periods: an off-centre bump and a
+    time-dependent radial field, plus 400 random rows (|z| < 0.9, |dpsi| < 30)."""
+    rows = []
+    for kind in ("bump", "radial_t"):
+        f = _mean_zero_fields()[kind]
+        sc = HamiltonianScenario(field=f, ball_radius=0.57, dt=0.004, form=HyperbolicForm(),
+                                 support_radius=f.support_radius + 1e-9)
+        iso = DiskIsotopy(scenario=sc, genus=GENUS, disk_area=disk_area_of(0.55))
+        pts = sc.form.sample_ball(f.support_radius, 2, 300, np.random.default_rng(4))
+        state = _LiftState(iso, pts, 4)
+        rows.append((state.z0, state.z1, state.dpsi))
+    rng = np.random.default_rng(21)
+    z0, z1 = (0.9 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+              for _ in range(2))
+    rows.append((z0, z1, rng.uniform(-30.0, 30.0, 400)))
+    return tuple(np.concatenate(col) for col in zip(*rows))
+
+
+def test_fiber_range_is_the_refined_sampled_extremum(lifted_points):
+    lo, hi = _fiber_range(*lifted_points)
+    ref_lo, ref_hi = sampled_fiber_range(*lifted_points, 64, refine=5)
+    assert np.max(np.abs(lo - ref_lo)) < 1e-12
+    assert np.max(np.abs(hi - ref_hi)) < 1e-12
+
+
+def test_exact_index_is_at_most_the_sampled_index(lifted_points):
+    exact = np.floor(_fiber_range(*lifted_points)[0])
+    sampled = {k: np.floor(sampled_fiber_range(*lifted_points, k)[0]) for k in (1, 8, 64)}
+    assert all(np.all(exact <= index) for index in sampled.values())
+    assert np.any(exact < sampled[1])
+
+
+def test_exact_index_is_the_dense_sampled_index(lifted_points):
+    lo = _fiber_range(*lifted_points)[0]
+    dense = sampled_fiber_range(*lifted_points, 4096)[0]
+    # a 4096-sample minimum sits at most ~1e-6 above min D, so it can cross an integer only
+    # where min D lies just below one
+    near = np.abs(lo - np.round(lo)) < 1e-9
+    assert np.count_nonzero(near) <= 2
+    assert np.array_equal(np.floor(lo)[~near], np.floor(dense)[~near])
+
+
+def test_fiber_range_degenerate_points():
+    rng = np.random.default_rng(8)
+    z = 0.9 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+    dpsi = rng.uniform(-30.0, 30.0, 50)
+    zero = np.zeros(50, dtype=complex)
+    for z0, z1 in ((zero, z), (z, zero)):
+        lo, hi = _fiber_range(z0, z1, dpsi)
+        ref_lo, ref_hi = sampled_fiber_range(z0, z1, dpsi, 64, refine=5)
+        assert np.max(np.abs(lo - ref_lo)) < 1e-12 and np.max(np.abs(hi - ref_hi)) < 1e-12
+        # one end at the centre: D = dpsi/2pi + arg(1 + z/w)/pi -+, so dpsi/2pi -+ arcsin|z|/pi
+        assert np.allclose(hi - lo, 2.0 * np.arcsin(np.abs(z)) / np.pi, rtol=0.0, atol=1e-14)
+    # a = b, z1 = z0 exp(i dpsi): D is the constant dpsi/2pi
+    for bound in _fiber_range(z, z * np.exp(1j * dpsi), dpsi):
+        assert np.max(np.abs(bound - dpsi / (2.0 * np.pi))) < 1e-14
 
 
 # ---------------------------------------------------------------- cal_s
@@ -369,7 +428,7 @@ def test_cal_s_zero_hamiltonian():
 def test_cal_s_matches_calabi_radial():
     iso = radial_iso(amplitude=2.0, r_supp=0.6, r_disk=0.65, dt=0.002)
     cal = calabi(iso.scenario)
-    est = cal_s_estimate(iso, p=48, n_points=300, fiber_samples=8, seed=7)
+    est = cal_s_estimate(iso, p=48, n_points=300, seed=7)
     assert abs(est.value - cal) < 0.05 * abs(cal) + 3 * est.std_error
 
 
@@ -446,7 +505,7 @@ def test_lift_reads_c_from_one_table_per_period(monkeypatch):
     c = iso.mean_zero_constant
     calls = []
     monkeypatch.setattr(DiskIsotopy, "mean_zero_constant", lambda self, t: calls.append(t) or c(t))
-    state = _LiftState(iso, pts, np.zeros((3, 1)), 3)
+    state = _LiftState(iso, pts, 3)
     engine = FlowMap(iso.scenario)
     assert calls == list(engine.t_mids) and len(calls) == 50
     dpsi = np.zeros(3)
