@@ -24,12 +24,14 @@ which is every iterate when tangents are transported.  A tangent-free step
 evaluates the velocity alone at the iterate that Newton's quadratic rate
 predicts to converge, and the linearization at the same midpoint only if it
 does not (``FlowMap._step``); the gradient's bits do not depend on the
-order, so no output does.  The jet builds its (N, d, d)
-Hessian batch-last, in (d, d, N) memory (``_batch_last``, or ``_batched`` of
-an entry-major array), one whole entry per op, for C- and F-ordered points
-alike: the midpoint loop keeps points, velocities, Newton matrices and
-tangents in that layout, so each of its elementwise ops is one long inner
-loop.
+order, so no output does.  Newton stops each row on its own residual and
+starts it from its own velocity history (``FlowMap.evolve``), so a row's
+trajectory does not depend on the rest of its batch.  The jet builds its
+(N, d, d) Hessian batch-last, in (d, d, N) memory (``_batch_last``, or
+``_batched`` of an entry-major array), one whole entry per op, for C- and
+F-ordered points alike: the midpoint loop keeps points, velocities, Newton
+matrices and tangents in that layout, so each of its elementwise ops is one
+long inner loop.
 
 A kind may also override ``frozen(pts)``, a conservative mask of the rows
 where the gradient and the Hessian are exactly zero at every t (the
@@ -45,6 +47,7 @@ import functools
 import math
 import numbers
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +59,7 @@ from .errors import (IntegrationError, NumericalError, ValidationError, convert,
                      period_count)
 from .symplectic import SpPath, _det2_from_complex, _turn_steps, standard_j
 
-NEWTON_TOL = 1e-12
+NEWTON_TOL = 1e-15       # per-row Newton stop, relative to 1 + max |x_row|
 NEWTON_MAX_ITER = 30
 TOL_FLOW = 1e-6          # symplecticity drift cap on accepted Jacobian paths
 ALIAS_GUARD = 0.4        # per-step det^2 phase cap (turns) during online winding
@@ -988,41 +991,52 @@ class FlowMap:
             vel = vel / rho
         return _apply_j(vel), None if lin is None else _apply_j(lin)
 
-    def _step(self, x, t_mid, tol, linearize):
-        """One midpoint step of entry-major points x: new points, midpoint velocity and DX_H there.
+    def _step(self, x, guess, t_mid, tol, linearize, rate):
+        """One midpoint step of entry-major points x (d, n).
 
-        Newton stops once the largest residual is below ``tol``.  An iterate
-        evaluates the linearization with the velocity (an order-2 jet) when
-        something may read it: its own Newton solve, or, with ``linearize``,
-        the Cayley tangent step at the converged iterate.  Without
-        ``linearize``, the iterate that Newton's quadratic rate predicts to
-        converge, r_k^3 < tol r_{k-1}^2 from the last two residuals, takes
-        the velocity alone; if it does not converge after all, the
-        linearization at the same midpoint follows before the solve.  The
-        start point x counts as the iterate before the predictor: its
-        residual is h X_H(x), the predictor's correction.  The gradient's
-        bits do not depend on the jet's order, so neither do the iterates.
-        DX_H is None when only the velocity was evaluated.
+        Returns the new points, the midpoint velocity, DX_H there (None
+        when only the velocity was evaluated) and the latest Newton rate.
+
+        Newton starts from ``guess``, or from the jet predictor x + h X_H(x)
+        when it is None.  Each row stops on its own residual, below its own
+        ``tol`` (n,): a converged row keeps its iterate while the others
+        move, and its jet is re-evaluated at that same midpoint, so a row's
+        bits depend only on its own iterates, whatever the batch.
+
+        An iterate evaluates the linearization with the velocity (an order-2
+        jet) when something may read it: its own Newton solve, or, with
+        ``linearize``, the Cayley tangent step at the converged iterate.
+        Without ``linearize``, the iterate that Newton's quadratic rate
+        predicts to converge takes the velocity alone.  With r_k the largest
+        residual of iterate k in units of its row's ``tol``, that is the
+        iterate with rate * r_{k-1}^2 < 1, where ``rate`` is the latest
+        r_k / r_{k-1}^2: from this step once it has two residuals, from an
+        earlier step before (inf when there is none).  If that iterate does
+        not converge after all, the linearization at the same midpoint
+        follows before the solve.  The forecast chooses only the jet's
+        order, and the gradient's bits do not depend on it, so neither do
+        the iterates.
         """
         h = self.h
-        correction = h * self._field_jet(x, t_mid, 1)[0]
-        w = x + correction
-        # the last two residuals, read only without ``linearize``
-        prev, last = None, None if linearize else float(np.abs(correction).max())
+        w = x + h * self._field_jet(x, t_mid, 1)[0] if guess is None else guess
+        last = None
         for it in range(NEWTON_MAX_ITER):
             mid = 0.5 * (x + w)
             # products, not powers: a float power raises OverflowError when Newton diverges
-            last_one = not linearize and prev is not None and last * last * last < tol * prev * prev
+            last_one = not linearize and last is not None and rate * last * last < 1.0
             vel, a_mid = self._field_jet(mid, t_mid, 1 if last_one else 2)
             resid = w - x - h * vel
-            r = float(np.abs(resid).max())
-            if r < tol:
+            err = np.abs(resid).max(axis=0) / tol
+            r = float(err.max())
+            if last is not None:
+                rate = r / (last * last)
+            if r < 1.0:
                 self.max_newton_iters = max(self.max_newton_iters, it)
-                return w, vel, a_mid
+                return w, vel, a_mid, rate
             if a_mid is None:
                 a_mid = self._field_jet(mid, t_mid, 2)[1]
-            w = w - _solve_batch(self._eye - (0.5 * h) * a_mid, resid)
-            prev, last = last, r
+            w = np.where(err < 1.0, w, w - _solve_batch(self._eye - (0.5 * h) * a_mid, resid))
+            last = r
         raise IntegrationError(-1, "Newton iteration for the midpoint step did not converge")
 
     def evolve(self, pts, periods: int = 1, tangent=None, step_hook=None):
@@ -1033,6 +1047,15 @@ class FlowMap:
         midpoint velocity of that step.  The hook's arrays and the returned
         points (n, d) and tangents (n, d, k) are batch-last views.
 
+        Newton stops each row at NEWTON_TOL (1 + max |x_row|), from the
+        row's start point x_row.  Within a period, a step starts Newton
+        from the row's last four converged midpoint velocities,
+        x + h (4 v_1 - 6 v_2 + 4 v_3 - v_4) with v_1 the latest, a cubic
+        extrapolation; the first four steps of a period start from the jet
+        predictor.  So every output row depends only on its own start
+        point, not on the rest of the batch, and ``evolve(pts, p)`` equals
+        p calls of ``evolve(pts, 1)`` bit for bit.
+
         With a tangent, every Newton iterate evaluates the field's Hessian,
         and the Cayley step reads the converged one; without, the iterate
         predicted to converge skips it (``_step``).  Points and hook
@@ -1040,9 +1063,9 @@ class FlowMap:
 
         Only the rows that the field's ``frozen`` mask leaves are stepped.
         A frozen row keeps its point (mid = new = start), has velocity 0
-        and an identity Cayley factor; Newton's stop threshold still comes
-        from the whole batch, and a frozen row's residual is exactly 0, so
-        no output depends on the mask.
+        and an identity Cayley factor.  Stepped, it would converge at its
+        first iterate with a residual of exactly 0, and no other row reads
+        it, so no output depends on the mask.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if np.any(np.linalg.norm(pts, axis=1) > self.sc.ball_radius * (1 + 1e-12)):
@@ -1071,17 +1094,29 @@ class FlowMap:
 
         stepped = not frozen.all()
         total = periods * self.steps_per_period
+        h, rate = self.h, math.inf
+        history = deque(maxlen=4)  # the live rows' converged midpoint velocities, oldest first
         for step in range(total):
-            t_mid = self.t_mids[step % self.steps_per_period]
-            tol = NEWTON_TOL * (1.0 + np.abs(cur).max())
+            j = step % self.steps_per_period
+            t_mid = self.t_mids[j]
             if not stepped:
                 new, vel = cur.copy(), np.zeros_like(cur)
             else:
+                if j == 0:
+                    history.clear()
+                x = rows(cur)
+                tol = NEWTON_TOL * (1.0 + np.abs(x).max(axis=0))
+                guess = None
+                if len(history) == 4:
+                    v4, v3, v2, v1 = history
+                    guess = x + h * (4.0 * (v1 + v3) - 6.0 * v2 - v4)
                 try:
-                    new, vel, a_mid = self._step(rows(cur), t_mid, tol, tangent is not None)
+                    new, vel, a_mid, rate = self._step(x, guess, t_mid, tol,
+                                                       tangent is not None, rate)
                 except IntegrationError as exc:
                     raise IntegrationError(
                         step, f"integrator failed at step {step}: {exc}") from exc
+                history.append(vel)
                 if tangent is not None:
                     moved = self._cayley(a_mid, rows(tangent))
                     tangent = moved if live is None else merge(tangent, moved)

@@ -958,11 +958,14 @@ def graph_integral(graph: ReebGraph, h: GraphHamiltonian) -> float:
     return total
 
 
-def theorem2_value(graph: ReebGraph, h: GraphHamiltonian) -> float:
+def theorem2_value(graph: ReebGraph, h: GraphHamiltonian,
+                   trivalent: set[int] | None = None) -> float:
     """The closed formula: integral of h minus its values at the trivalent set.
 
     Requires genus >= 2 and total measure 2g-2 (the pinned normalization);
-    other totals are rejected rather than rescaled.
+    other totals are rejected rather than rescaled.  ``trivalent`` is
+    ``trivalent_vertices(prune(graph))`` when the caller holds it already;
+    by default it is derived here.
     """
     if graph.genus < 2:
         raise ValidationError("the closed formula requires genus >= 2")
@@ -971,9 +974,9 @@ def theorem2_value(graph: ReebGraph, h: GraphHamiltonian) -> float:
     if abs(total - target) > AREA_NORMALIZATION_RTOL * target:
         raise ValidationError(
             f"total measure {total:.12g} != {target} (normalize the mesh first)")
-    pruned = prune(graph)
-    vset = trivalent_vertices(pruned)
-    return graph_integral(graph, h) - sum(h.node_value(nid) for nid in vset)
+    if trivalent is None:
+        trivalent = trivalent_vertices(prune(graph))
+    return graph_integral(graph, h) - sum(h.node_value(nid) for nid in trivalent)
 
 
 def graph_to_json(graph: ReebGraph) -> dict:

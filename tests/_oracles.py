@@ -5,8 +5,9 @@ through polygon clipping in barycentric coordinates (no Reeb graph, no
 pushforward densities), radial invariants through 1-d quadrature of closed
 forms, Calabi also as the integral of lambda(X_H) over space and time (the
 primitive form that the library turns into -n times the integral of H), and
-rotation numbers through explicit orbit averages, and the fiber range of the
-boundary turns through sampled lifts (no closed form).
+rotation numbers through explicit orbit averages, the fiber range of the
+boundary turns through sampled lifts (no closed form), and the midpoint flow
+through a fixed number of full Newton iterates (no stop test, no predictor).
 """
 
 import numpy as np
@@ -172,3 +173,35 @@ def sampled_fiber_range(z0, z1, dpsi, k, refine=0):
             vals, cell = sign * turns(psi), 2.0 * cell / (k - 1)
         out.append(sign * np.min(vals, axis=1))
     return tuple(out)
+
+
+def newton_reference_evolve(sc, pts, periods, iterates=8):
+    """The implicit-midpoint flow of (n, d) points over whole periods, by fixed Newton iterates.
+
+    Each step of h = 1/round(1/dt) starts Newton at the step's start point
+    and takes ``iterates`` full Newton iterates, with no stop test, on
+    F(w) = w - x - h X_H((x + w)/2), X_H = J0 grad H / rho, in the (n, d)
+    layout through ``np.linalg.solve``: the solution to the rounding floor,
+    whatever the batch.
+    """
+    n_steps = max(1, round(1.0 / sc.dt))
+    h = 1.0 / n_steps
+    half = sc.dim // 2
+    j0 = np.block([[np.zeros((half, half)), -np.eye(half)], [np.eye(half), np.zeros((half, half))]])
+    eye = np.eye(sc.dim)
+    x = np.array(pts, dtype=float)
+    for _ in range(periods):
+        for step in range(n_steps):
+            t = (step + 0.5) * h
+            w = x.copy()
+            for _ in range(iterates):
+                mid = 0.5 * (x + w)
+                grad, hess = sc.field.grad(mid, t), sc.field.hess(mid, t)
+                rho, grad_rho = sc.form.rho_jet(mid)
+                vel = grad @ j0.T / rho[:, None]
+                dvel = j0 @ (hess / rho[:, None, None]
+                             - grad[:, :, None] * grad_rho[:, None, :] / rho[:, None, None] ** 2)
+                resid = w - x - h * vel
+                w = w - np.linalg.solve(eye - 0.5 * h * dvel, resid[:, :, None])[:, :, 0]
+            x = w
+    return x

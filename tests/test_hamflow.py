@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import (lambda_form_calabi, radial_calabi_4d_oracle, radial_calabi_oracle,
-                      radial_tau_oracle)
+from _oracles import (lambda_form_calabi, newton_reference_evolve, radial_calabi_4d_oracle,
+                      radial_calabi_oracle, radial_tau_oracle)
 import qmlab
 from qmlab.errors import ValidationError
 from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap, GridField,
@@ -764,21 +764,29 @@ def _step_jets(sc, pts, tangent):
 @pytest.mark.parametrize("form", [StandardForm(), HyperbolicForm()], ids=lambda f: f.kind)
 @pytest.mark.parametrize("n", [1, 200])
 def test_tangent_free_radial_step_skips_the_last_hessian(form, n):
-    """A radial step makes (iterates - 1) order-2 jets without tangents, one per iterate with them.
+    """A radial step makes one order-2 jet fewer without tangents than with them.
 
-    The predictor and the converged iterate evaluate the velocity alone; the
-    tangent run evaluates the same midpoints with the Hessian.
+    The first four steps of a period start from the jet predictor (order 1),
+    the others from the velocity history (no jet).  Without tangents the
+    converged iterate evaluates the velocity alone; the tangent run
+    evaluates the same midpoints with the Hessian.  From the second history
+    step on, the rate carried over from the step before forecasts that
+    iterate even when Newton converges after one solve.
     """
     sc = radial_scenario(dt=0.01, r_supp=0.8, ball=0.9, form=form)
     pts = form.sample_ball(0.75, 2, n, np.random.default_rng(47))
     free = _step_jets(sc, pts, None)
     with_tangent = _step_jets(sc, pts, np.eye(2))
     assert len(free) == len(with_tangent) == 100
-    for jets, ref in zip(free, with_tangent):
-        iterates = len(jets) - 1
-        assert iterates >= 2
-        assert [order for order, _ in jets] == [1] + [2] * (iterates - 1) + [1]
-        assert [order for order, _ in ref] == [1] + [2] * iterates
+    for step, (jets, ref) in enumerate(zip(free, with_tangent)):
+        predictor = [1] if step < 4 else []
+        iterates = len(ref) - len(predictor)
+        assert iterates >= (2 if step < 4 else 1)
+        assert [order for order, _ in ref] == predictor + [2] * iterates
+        expected = predictor + [2] * (iterates - 1) + [1]
+        if step == 4:  # the rate comes from a predictor step, which may not forecast it
+            expected[-1] = jets[-1][0]
+        assert [order for order, _ in jets] == expected
         for (_, x), (_, ref_x) in zip(jets, ref):
             assert np.array_equal(x, ref_x)
 
@@ -786,22 +794,111 @@ def test_tangent_free_radial_step_skips_the_last_hessian(form, n):
 def test_mispredicted_last_iterate_falls_back_to_the_hessian():
     """An order-1 iterate that does not converge takes the Hessian at the same midpoint.
 
-    The steep hyperbolic bump mispredicts on some steps; the outputs still
-    equal the tangent run's, bit for bit.
+    One row on the standard bump mispredicts on some history step: the rate
+    carried over from the step before forecasts convergence after the first
+    solve, and it takes a second.  The outputs still equal the tangent
+    run's, bit for bit.
     """
-    f = BumpField(5.0, [0.12, 0.0], 0.34)
-    sc = HamiltonianScenario(field=f, ball_radius=0.58, support_radius=f.support_radius + 1e-9,
-                             dt=0.002, form=HyperbolicForm())
-    pts = HyperbolicForm().sample_ball(0.46, 2, 64, np.random.default_rng(1))
+    f = _JET_CASES["bump"][0]
+    sc = HamiltonianScenario(field=f, ball_radius=f.support_radius + 0.2,
+                             support_radius=f.support_radius + 1e-9, dt=0.01)
+    pts = StandardForm().sample_ball(0.97 * sc.ball_radius, 2, 1, np.random.default_rng(44))
     fallbacks = 0
-    for jets in _step_jets(sc, pts, None):
-        # every order-1 jet but the predictor and the converged iterate is a fallback
+    for step, jets in enumerate(_step_jets(sc, pts, None)):
+        # a step's first jet is the predictor or an order-2 iterate, its last the converged
+        # iterate; any order-1 jet in between is a fallback
+        assert step < 4 or jets[0][0] == 2
         for (order, x), (next_order, next_x) in zip(jets[1:-1], jets[2:]):
             if order == 1:
                 assert next_order == 2 and np.array_equal(x, next_x)
                 fallbacks += 1
     assert fallbacks >= 1
     _assert_tangent_free_run_is_the_tangent_run(sc, pts)
+
+
+@pytest.mark.parametrize("tangent", [False, True], ids=["points", "tangents"])
+@pytest.mark.parametrize("kind, form", _FORM_CASES,
+                         ids=[f"{kind}-{form.kind}" for kind, form in _FORM_CASES])
+def test_evolve_rows_do_not_depend_on_the_batch(kind, form, tangent):
+    """Each row evolved alone equals its row of the batch: points, tangents, hook arguments.
+
+    Every row stops Newton on its own residual and extrapolates its own
+    velocity history, so no output bit of a row depends on the other rows.
+    Some rows are frozen.
+    """
+    f = _JET_CASES[kind][0]
+    ball = 0.95 if form.kind == "hyperbolic" else f.support_radius + 0.2
+    sc = HamiltonianScenario(field=f, ball_radius=ball, support_radius=f.support_radius + 1e-9,
+                             dt=0.02, form=form)
+    radius = min(0.97 * sc.ball_radius, 1.2 * f.support_radius)  # some rows live, some frozen
+    pts = form.sample_ball(radius, sc.dim, 24, np.random.default_rng(53))
+    assert 0.0 < sc.field.frozen(pts).mean() <= 0.85
+    frames = np.broadcast_to(np.eye(sc.dim), (len(pts), sc.dim, sc.dim)) if tangent else None
+    out, steps, _ = _recorded_evolve(sc, pts, frames)
+    for i in range(len(pts)):
+        row_out, row_steps, _ = _recorded_evolve(sc, pts[i:i + 1],
+                                                 None if frames is None else frames[i:i + 1])
+        for a, b in zip(out, row_out):
+            assert np.array_equal(a[i:i + 1], b)
+        for step, row_step in zip(steps, row_steps):
+            for a, b in zip(step, row_step):
+                assert (a is None and b is None) or np.array_equal(a[i:i + 1], b)
+
+
+def test_whole_periods_equal_one_period_calls():
+    """evolve over three periods equals three one-period calls on one engine, bit for bit.
+
+    The velocity history restarts with each period, so a period's steps do
+    not depend on the periods before it beyond their end points.
+    """
+    sc = bump_scenario(1.0, [0.2, 0.1], 0.5, dt=0.02)
+    pts = StandardForm().sample_ball(0.7, 2, 40, np.random.default_rng(59))
+    frames = np.broadcast_to(np.eye(2), (40, 2, 2))
+
+    def hook_into(steps):
+        return lambda step, t_mid, *args: steps.append(
+            (step % 50, t_mid) + tuple(a.copy() for a in args))
+
+    whole = []
+    out, tan = FlowMap(sc).evolve(pts, periods=3, tangent=frames, step_hook=hook_into(whole))
+    engine, parts = FlowMap(sc), []
+    cur, cur_tan = pts, frames
+    for _ in range(3):
+        cur, cur_tan = engine.evolve(cur, tangent=cur_tan, step_hook=hook_into(parts))
+    assert np.array_equal(out, cur) and np.array_equal(tan, cur_tan)
+    assert len(whole) == len(parts) == 150
+    for step, part in zip(whole, parts):
+        assert step[:2] == part[:2]
+        for a, b in zip(step[2:], part[2:]):
+            assert np.array_equal(a, b)
+
+
+def _hyperbolic_scenario(f, ball, dt):
+    return HamiltonianScenario(field=f, ball_radius=ball, support_radius=f.support_radius + 1e-9,
+                               dt=dt, form=HyperbolicForm())
+
+
+_REFERENCE_CASES = {
+    # scenario, periods
+    "twist": (radial_scenario(0.8, dt=0.01), 4),
+    "bump": (bump_scenario(1.0, [0.2, 0.1], 0.5, dt=0.01), 4),
+    "hyperbolic_radial": (_hyperbolic_scenario(RadialField([1.3], support_radius=0.45), 0.57,
+                                               0.004), 2),
+    "hyperbolic_bump": (_hyperbolic_scenario(BumpField(5.0, [0.12, 0.0], 0.34), 0.58, 0.002), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_one_row_runs_match_the_newton_reference(case):
+    """A row evolved alone is within 1e-10 of the midpoint flow solved by 8 fixed Newton iterates."""
+    sc, periods = _REFERENCE_CASES[case]
+    pts = sc.form.sample_ball(0.97 * sc.support_radius, 2, 64, np.random.default_rng(61))
+    pts = pts[~sc.field.frozen(pts)][:8]  # live rows only: a frozen row is exact
+    assert len(pts) == 8
+    ref = newton_reference_evolve(sc, pts, periods)
+    for i in range(len(pts)):
+        alone = FlowMap(sc).evolve(pts[i:i + 1], periods=periods)
+        assert np.abs(alone[0] - ref[i]).max() <= 1e-10
 
 
 def test_tangent_stack_with_frozen_rows():
