@@ -12,8 +12,7 @@ cli         batch experiment front end (``qmlab <kind> --spec file.json``)
 """
 
 from .errors import (DegenerateSaddleError, IntegrationError, InvariantError,
-                     NumericalError, QmlabError, RefinementDepthError,
-                     RefinePathError, ValidationError)
+                     NumericalError, QmlabError, RefinePathError, ValidationError)
 from .harness import (DefectEstimate, HomogenizationResult, QmEvaluator,
                       estimate_defect, homogenize, homogenize_until)
 from .symplectic import (LagrangianFrame, PhiEvaluator, SpPath, WindingValue,

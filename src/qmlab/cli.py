@@ -134,19 +134,16 @@ def _run_reeb(spec: ExperimentSpec, out_dir: Path) -> dict:
     record = {"genus": mesh.genus, "nodes": len(graph.nodes), "edges": len(graph.edges),
               "euler_deficiency": graph.euler_deficiency(),
               "total_measure": graph.total_measure()}
-    pruned = reeb.prune(graph)
-    tri = None
+    core = graph.core  # pruned once; theorem2_value reads the same cached graph
     if mesh.genus >= 1:
-        # the set itself, not its sorted copy, feeds theorem2_value's sum: the same order
-        tri = reeb.trivalent_vertices(pruned)
-        record["trivalent"] = sorted(tri)
+        record["trivalent"] = sorted(reeb.trivalent_vertices(core))
     ham_file = spec.path("hamiltonian_file", required=False)
     if ham_file is not None:
         h = reeb.GraphHamiltonian.from_json(graph, json.loads(ham_file.read_text()))
-        record["theorem2_value"] = reeb.theorem2_value(graph, h, tri)
+        record["theorem2_value"] = reeb.theorem2_value(graph, h)
     elif "constant" in spec.params:
         h = reeb.GraphHamiltonian.constant(graph, spec.number("constant", float))
-        record["theorem2_value"] = reeb.theorem2_value(graph, h, tri)
+        record["theorem2_value"] = reeb.theorem2_value(graph, h)
     # compact: indent would send this large file through json's pure-Python encoder
     (out_dir / "reeb_graph.json").write_text(
         json.dumps(reeb.graph_to_json(graph), sort_keys=True, separators=(",", ":")) + "\n")

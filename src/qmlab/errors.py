@@ -2,7 +2,7 @@
 
 Two broad families: :class:`ValidationError` for inputs that violate a
 declared contract (rejected, never repaired) and :class:`NumericalError`
-for failures arising during a computation (refinement caps, Newton
+for failures arising during a computation (an aliased sampled path, Newton
 divergence, violated invariants that signal a bug upstream).  ``convert``
 turns a malformed value from a spec or JSON file into a ValidationError;
 the CLI and the JSON loaders share it, and ``period_count`` checks a period
@@ -66,10 +66,6 @@ class RefinePathError(NumericalError):
     def __init__(self, index: int, message: str | None = None):
         self.index = index
         super().__init__(message or f"step {index} moves by >= 0.5 turns; refine the path")
-
-
-class RefinementDepthError(NumericalError):
-    """Automatic dyadic refinement exceeded its depth cap."""
 
 
 class IntegrationError(NumericalError):

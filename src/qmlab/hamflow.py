@@ -1076,11 +1076,6 @@ class FlowMap:
         if tangent is not None:
             tangent = np.array(_entries(np.broadcast_to(tangent, (n,) + np.shape(tangent)[-2:])))
         live = np.flatnonzero(~frozen) if frozen.any() else None
-        if live is not None:
-            # flat positions of the live columns in the (d, n) points and (d, k, n)
-            # tangents, keyed by array size (equal sizes have equal positions)
-            spots = {a.size: (np.arange(a.size // n)[:, None] * n + live).ravel()
-                     for a in (cur, tangent) if a is not None}
 
         def rows(a):
             """The live columns of an entry-major array (``a`` itself when all rows are live)."""
@@ -1089,7 +1084,7 @@ class FlowMap:
         def merge(full, part):
             """A copy of ``full`` with its live columns set to ``part``."""
             out = full.copy()
-            out.reshape(-1)[spots[out.size]] = part.reshape(-1)
+            out[..., live] = part
             return out
 
         stepped = not frozen.all()

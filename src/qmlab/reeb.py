@@ -448,6 +448,11 @@ class ReebGraph:
                 inc.setdefault(e.hi, []).append(e)
         return inc
 
+    @cached_property
+    def core(self) -> "ReebGraph":
+        """``prune(self)``, computed once per graph."""
+        return prune(self)
+
     def degrees(self) -> dict[int, int]:
         deg = {nid: 0 for nid in self.nodes}
         for e in self.edges.values():
@@ -958,14 +963,11 @@ def graph_integral(graph: ReebGraph, h: GraphHamiltonian) -> float:
     return total
 
 
-def theorem2_value(graph: ReebGraph, h: GraphHamiltonian,
-                   trivalent: set[int] | None = None) -> float:
+def theorem2_value(graph: ReebGraph, h: GraphHamiltonian) -> float:
     """The closed formula: integral of h minus its values at the trivalent set.
 
     Requires genus >= 2 and total measure 2g-2 (the pinned normalization);
-    other totals are rejected rather than rescaled.  ``trivalent`` is
-    ``trivalent_vertices(prune(graph))`` when the caller holds it already;
-    by default it is derived here.
+    other totals are rejected rather than rescaled.
     """
     if graph.genus < 2:
         raise ValidationError("the closed formula requires genus >= 2")
@@ -974,8 +976,7 @@ def theorem2_value(graph: ReebGraph, h: GraphHamiltonian,
     if abs(total - target) > AREA_NORMALIZATION_RTOL * target:
         raise ValidationError(
             f"total measure {total:.12g} != {target} (normalize the mesh first)")
-    if trivalent is None:
-        trivalent = trivalent_vertices(prune(graph))
+    trivalent = trivalent_vertices(graph.core)
     return graph_integral(graph, h) - sum(h.node_value(nid) for nid in trivalent)
 
 

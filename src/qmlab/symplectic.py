@@ -23,16 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 
-from .errors import (RefinementDepthError, RefinePathError, ValidationError, convert,
-                     period_count)
+from .errors import RefinePathError, ValidationError, convert, period_count
 from .harness import QmEvaluator
 
 SP_TOL = 1e-8           # Frobenius tolerance on M^T J0 M - J0; reject beyond, never repair
 LAGRANGIAN_TOL = 1e-8   # relative tolerance on the isotropy condition
 RANK_RTOL = 1e-8        # singular-value ratio used by the transversality test
-REFINE_DEPTH_CAP = 20
 # random_sp_path: exponential segments, generator size, samples per segment
 SP_PATH_SEGMENTS, SP_PATH_MAGNITUDE, SP_PATH_SAMPLES = 3, 0.8, 24
 
@@ -143,9 +141,10 @@ class WindingValue:
 def winding(circle_values) -> WindingValue:
     """Total argument variation of a sampled circle path, in turns.
 
-    Accumulates principal-branch phase differences; any single step of
-    0.5 turns or more trips the continuity guard and raises
-    :class:`RefinePathError` carrying the offending index.
+    Accumulates principal-branch phase differences, which lie in
+    [-1/2, 1/2]: every step must turn by less than half a turn.  An exact
+    half turn raises :class:`RefinePathError` carrying its index; a larger
+    step aliases silently.
     """
     values = np.asarray(circle_values, dtype=complex)
     if values.ndim != 1 or values.size < 2:
@@ -162,9 +161,9 @@ def winding(circle_values) -> WindingValue:
 class SpPath:
     """A sampled path in Sp(2n, R) starting at the identity.
 
-    Represents an element of the universal cover; continuity between
-    consecutive samples is enforced lazily by the winding guard (with
-    automatic dyadic refinement where needed).
+    Represents an element of the universal cover.  Its samples must be
+    dense enough that det^2 turns by less than half a turn per step, the
+    contract of :func:`phi_lag`.
     """
 
     times: np.ndarray
@@ -260,45 +259,21 @@ def _det2_values(mats: np.ndarray, frame: LagrangianFrame) -> np.ndarray:
     return _det2_from_complex(moved[:, :n, :] + 1j * moved[:, n:, :])
 
 
-def _refined_turns(m_lo: np.ndarray, m_hi: np.ndarray, frame: LagrangianFrame,
-                   depth: int) -> float:
-    """Winding across one aliased step, by geodesic interpolation in the group."""
-    if depth > REFINE_DEPTH_CAP:
-        raise RefinementDepthError(
-            f"dyadic refinement exceeded depth {REFINE_DEPTH_CAP}; path too wild for its sample density")
-    gen = logm(symplectic_inverse(m_lo) @ m_hi)
-    if np.linalg.norm(gen.imag) > 1e-8:
-        raise RefinementDepthError("matrix logarithm left the real symplectic algebra")
-    m_mid = m_lo @ expm(0.5 * gen.real)
-    total = 0.0
-    for a, b in ((m_lo, m_mid), (m_mid, m_hi)):
-        vals = _det2_values(np.stack([a, b]), frame)
-        step = _turn_steps(vals[0], vals[1])
-        if abs(step) >= 0.5:
-            total += _refined_turns(a, b, frame, depth + 1)
-        else:
-            total += float(step)
-    return total
-
-
 def phi_lag(path: SpPath, l0: LagrangianFrame | None = None) -> float:
     """Winding (in turns) of t -> det^2_{L0}(gamma_t L0) along the path.
 
-    Aliased steps are refined automatically by generator interpolation
-    between the adjacent samples, up to the depth cap.
+    The :func:`winding` of the sampled det^2 values, with its contract:
+    each step must turn det^2 by less than half a turn, an exact half turn
+    raises :class:`RefinePathError`, and a coarser path aliases silently
+    (``full_rotation_loop(4)`` reads -1, not 2).  One sample reads 0.
     """
     if l0 is None:
         l0 = coordinate_lagrangian(path.n)
     if l0.n != path.n:
         raise ValidationError("frame dimension does not match the path")
-    vals = _det2_values(path.matrices, l0)
-    steps = _turn_steps(vals[:-1], vals[1:])
-    bad = np.nonzero(np.abs(steps) >= 0.5)[0]
-    total = float(steps.sum())
-    for idx in bad:
-        total -= float(steps[idx])
-        total += _refined_turns(path.matrices[idx], path.matrices[idx + 1], l0, 1)
-    return total
+    if path.matrices.shape[0] == 1:
+        return 0.0
+    return winding(_det2_values(path.matrices, l0)).turns
 
 
 def phi_homog(path: SpPath, p: int, l0: LagrangianFrame | None = None) -> tuple[float, float]:

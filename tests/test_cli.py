@@ -15,7 +15,8 @@ from qmlab.hamflow import (RadialField, HamiltonianScenario, HyperbolicForm,
                            StandardForm, scenario_to_json)
 from qmlab.hypgeo import DiskIsotopy, isotopy_to_json
 from qmlab.meshes import genus2_mesh, height_field
-from qmlab.reeb import GraphHamiltonian, build_reeb, random_morse_field, write_off
+from qmlab.reeb import (GraphHamiltonian, build_reeb, random_morse_field, read_morse_csv,
+                        read_off, theorem2_value, write_off)
 from qmlab.symplectic import SpPath, full_rotation_loop, path_to_json
 
 
@@ -79,6 +80,25 @@ def test_reeb_kind_reproducible(tmp_path):
     assert cli.main(["reeb", "--spec", str(spec), "--out", str(out2)]) == 0
     for name in ("reeb_graph.json", "reeb_result.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_reeb_kind_hamiltonian_file(tmp_path):
+    mesh = genus2_mesh(5)
+    (tmp_path / "mesh.off").write_text(write_off(mesh))
+    (tmp_path / "morse.csv").write_text("vertex_id,value\n" + "".join(
+        f"{i},{v!r}\n" for i, v in enumerate(height_field(mesh).values.tolist())))
+    # the graph the reeb kind builds: mesh and field read back from the files, normalized
+    mesh = read_off((tmp_path / "mesh.off").read_text()).normalized()
+    graph = build_reeb(mesh, read_morse_csv((tmp_path / "morse.csv").read_text(),
+                                            mesh.n_vertices))
+    h = GraphHamiltonian.from_function(graph, lambda c: c * c - 0.3 * c)
+    write_json(tmp_path / "ham.json", h.to_json())
+    spec = write_json(tmp_path / "spec.json", dict(_REEB_SPEC, hamiltonian_file="ham.json"))
+    assert cli.main(["reeb", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    record = json.loads((tmp_path / "out" / "reeb_result.json").read_text())["result"]
+    expected = theorem2_value(graph, h)
+    assert expected != 0.0 and record["theorem2_value"] == expected
+    assert len(record["trivalent"]) == 2
 
 
 def test_python_m_qmlab_help():
@@ -354,8 +374,8 @@ def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
 
 
 def test_numerical_failure_exits_3(tmp_path):
-    # e1 jumps by a half turn while the step matrix has negative real
-    # eigenvalues: the refinement's matrix log leaves the real algebra
+    # e1 jumps by a quarter turn, so det^2 by exactly half a turn: phi_lag
+    # raises RefinePathError, a numerical failure
     mats = np.stack([np.eye(2), np.array([[0.0, -1.0], [1.0, -3.0]])])
     path = SpPath(np.array([0.0, 1.0]), mats)
     write_json(tmp_path / "path.json", path_to_json(path))

@@ -1,5 +1,6 @@
 """Hamiltonian flow tests: integrator, Calabi, Birkhoff, tau, Theorem-3 value."""
 
+import json
 import os
 import subprocess
 import sys
@@ -1010,5 +1011,17 @@ def test_scenario_json_roundtrip():
     back2 = scenario_from_json(js)
     assert back2.field.value(pts, 0.2) == pytest.approx(
         concat_scenarios(a, b).field.value(pts, 0.2))
+    # every field kind survives a round trip through JSON text bit for bit
+    for kind, (f, kind_pts, *_) in _JET_CASES.items():
+        sc = HamiltonianScenario(field=f, ball_radius=f.support_radius + 0.2,
+                                 support_radius=f.support_radius + 1e-9, dt=0.01)
+        js = json.loads(json.dumps(scenario_to_json(sc)))
+        back = scenario_from_json(js)
+        assert type(back.field) is type(f) and scenario_to_json(back) == js, kind
+        kind_pts = np.asarray(kind_pts)
+        for t in (0.3, 0.7):
+            assert np.array_equal(back.field.value(kind_pts, t), f.value(kind_pts, t)), kind
+            for got, want in zip(back.field.jet(kind_pts, t, 2), f.jet(kind_pts, t, 2)):
+                assert np.array_equal(got, want), kind
     with pytest.raises(ValidationError):
         field_from_json({"kind": "nope"})

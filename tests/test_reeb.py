@@ -373,6 +373,7 @@ def test_prune_idempotent(g2):
     twice = prune(once)
     assert set(twice.nodes) == set(once.nodes)
     assert set(twice.edges) == set(once.edges)
+    assert graph.core is graph.core and set(graph.core.edges) == set(once.edges)
 
 
 def test_prune_sphere_degenerates_to_empty():

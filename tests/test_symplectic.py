@@ -101,9 +101,13 @@ def test_winding_constant_and_full_loop():
 
 
 def test_winding_guard_on_half_turn_jump():
-    with pytest.raises(RefinePathError) as err:
-        winding([1.0 + 0j, -1.0 + 0j])
-    assert err.value.index == 0
+    # I -> J0 turns e1 by a quarter turn, so det^2 by exactly half a turn: phi_lag
+    # shares winding's guard
+    quarter = SpPath(np.array([0.0, 1.0]), np.stack([np.eye(2), standard_j(1)]))
+    for call in (lambda: winding([1.0 + 0j, -1.0 + 0j]), lambda: phi_lag(quarter)):
+        with pytest.raises(RefinePathError) as err:
+            call()
+        assert err.value.index == 0
 
 
 @given(st.lists(st.floats(-0.49, 0.49), min_size=1, max_size=40))
@@ -118,6 +122,7 @@ def test_winding_recovers_step_sums(steps):
 
 def test_phi_lag_constant_identity_path():
     assert phi_lag(identity_path(1)) == pytest.approx(0.0, abs=1e-12)
+    assert phi_lag(identity_path(1, samples=1)) == 0.0
 
 
 @pytest.mark.parametrize("theta", [0.5, np.pi / 3, 2.0, -1.3])
@@ -136,10 +141,11 @@ def test_phi_lag_hyperbolic_path_fixing_l0():
     assert phi_lag(path) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_phi_lag_automatic_refinement_of_sparse_loop():
-    # two full turns sampled so coarsely every step would alias
-    path = full_rotation_loop(9)
-    assert phi_lag(path) == pytest.approx(2.0, abs=1e-8)
+def test_phi_lag_double_loop_by_step_size():
+    # det^2 winds twice: 8 steps of a quarter turn keep the half-turn contract and
+    # read 2; 3 steps of 2/3 turn break it and alias silently, each read as -1/3
+    assert phi_lag(full_rotation_loop(9)) == pytest.approx(2.0, abs=1e-8)
+    assert phi_lag(full_rotation_loop(4)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_phi_lag_l0_dependence_bounded_by_2n():
