@@ -27,10 +27,10 @@ from .reeb import (GraphHamiltonian, MorseField, ReebEdge, ReebGraph, ReebNode,
                    theorem2_value, trivalent_vertices, write_off)
 from .meshes import (genus2_mesh, genus3_mesh, genus_chain_mesh, height_field,
                      sphere_mesh, torus_mesh)
-from .hamflow import (BirkhoffResult, BumpField, FlowMap, GridField,
-                      HamiltonianScenario, HyperbolicForm, PolyBumpField,
-                      QuadratureRule, RadialField, SRestrictionResult,
-                      StandardForm, SumField, TauResult, TimeProfile,
+from .hamflow import (BirkhoffResult, BumpField, FlowMap, HamiltonianScenario,
+                      HyperbolicForm, PolyBumpField, QuadratureRule,
+                      RadialField, SRestrictionResult, StandardForm,
+                      SumField, TauResult, TimeProfile,
                       birkhoff_average, calabi, concat_scenarios,
                       conjugate_scenario, integrate_flow, jacobian_path,
                       s_restriction_value, scenario_from_json, scenario_to_json,

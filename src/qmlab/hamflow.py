@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import (IntegrationError, NumericalError, ValidationError, convert,
                      period_count)
@@ -62,7 +61,9 @@ from .symplectic import SpPath, _det2_from_complex, _turn_steps, standard_j
 NEWTON_TOL = 1e-15       # per-row Newton stop, relative to 1 + max |x_row|
 NEWTON_MAX_ITER = 30
 TOL_FLOW = 1e-6          # symplecticity drift cap on accepted Jacobian paths
-ALIAS_GUARD = 0.4        # per-step det^2 phase cap (turns) during online winding
+# Per-step det^2 turn cap during online winding: a check that dt is small enough,
+# stricter than the half-turn contract of symplectic.winding and phi_lag.
+ALIAS_GUARD = 0.4
 
 
 # --------------------------------------------------------------------------
@@ -494,45 +495,8 @@ class BumpField(SeparableField):
                 "time": self.time.to_json()}
 
 
-class _CutoffField(SeparableField):
-    """An inner function f times the radial cutoff b = _bump(|z|^2 / R^2), R the support radius."""
-
-    @abstractmethod
-    def _inner_jet(self, pts, order: int) -> list:
-        """[f, grad f, hess f][:order + 1] at a batch of points."""
-
-    def _cut(self, pts, order):
-        q = _sq_norms(pts) / self.support_radius ** 2
-        return _bump(q, order), pts * (2.0 / self.support_radius ** 2)
-
-    def spatial_value(self, pts):
-        (b,), _ = self._cut(pts, 0)
-        return self._inner_jet(pts, 0)[0] * b
-
-    def spatial_jet(self, pts, order=1):
-        (b, db, *d2b), dq = self._cut(pts, order)
-        f, gf, *hf = self._inner_jet(pts, order)
-        grad = gf * b[:, None] + f[:, None] * db[:, None] * dq
-        if order < 2:
-            return grad, None
-        # hess f b + (grad f dq^T + dq grad f^T) db + f (d2b dq dq^T + db (2 / R^2) I)
-        hess = _entries(hf[0]) * b
-        cross = gf.T[:, None] * dq.T[None]
-        cross *= db
-        hess += cross
-        hess += cross.transpose(1, 0, 2)
-        outer = dq.T[:, None] * dq.T[None]
-        outer *= d2b[0]
-        db = db * (2.0 / self.support_radius ** 2)
-        for i in range(self.dim):
-            outer[i, i] += db
-        outer *= f
-        hess += outer
-        return grad, _batched(hess)
-
-
-class PolyBumpField(_CutoffField):
-    """A polynomial times a radial smooth cutoff enforcing exact compact support."""
+class PolyBumpField(SeparableField):
+    """A polynomial f times the radial cutoff b = _bump(|z|^2 / R^2), R the support radius."""
 
     def __init__(self, monomials, support_radius: float,
                  time: TimeProfile | None = None, dim: int = 2):
@@ -568,6 +532,7 @@ class PolyBumpField(_CutoffField):
         return terms
 
     def _inner_jet(self, pts, order):
+        """[f, grad f, hess f][:order + 1] at a batch of points."""
         n, d = pts.shape
         powers = [[1.0] + [pts[:, axis] ** k for k in range(1, self._degree[axis] + 1)]
                   for axis in range(d)]
@@ -595,47 +560,39 @@ class PolyBumpField(_CutoffField):
             out.append(hess)
         return out
 
+    def _cut(self, pts, order):
+        q = _sq_norms(pts) / self.support_radius ** 2
+        return _bump(q, order), pts * (2.0 / self.support_radius ** 2)
+
+    def spatial_value(self, pts):
+        (b,), _ = self._cut(pts, 0)
+        return self._inner_jet(pts, 0)[0] * b
+
+    def spatial_jet(self, pts, order=1):
+        (b, db, *d2b), dq = self._cut(pts, order)
+        f, gf, *hf = self._inner_jet(pts, order)
+        grad = gf * b[:, None] + f[:, None] * db[:, None] * dq
+        if order < 2:
+            return grad, None
+        # hess f b + (grad f dq^T + dq grad f^T) db + f (d2b dq dq^T + db (2 / R^2) I)
+        hess = _entries(hf[0]) * b
+        cross = gf.T[:, None] * dq.T[None]
+        cross *= db
+        hess += cross
+        hess += cross.transpose(1, 0, 2)
+        outer = dq.T[:, None] * dq.T[None]
+        outer *= d2b[0]
+        db = db * (2.0 / self.support_radius ** 2)
+        for i in range(self.dim):
+            outer[i, i] += db
+        outer *= f
+        hess += outer
+        return grad, _batched(hess)
+
     def to_json(self):
         return {"kind": "poly", "monomials": [[list(e), c] for e, c in self.monomials],
                 "support_radius": self.support_radius, "time": self.time.to_json(),
                 "dim": self.dim}
-
-
-class GridField(_CutoffField):
-    """Grid samples interpolated by a C^2 bicubic spline, times a smooth cutoff."""
-
-    def __init__(self, x0: float, x1: float, values, support_radius: float,
-                 time: TimeProfile | None = None):
-        super().__init__(time)
-        self.dim = 2
-        self.x0, self.x1 = float(x0), float(x1)
-        self.values = np.asarray(values, dtype=float)
-        self.support_radius = float(support_radius)
-        axis = np.linspace(self.x0, self.x1, self.values.shape[0])
-        ays = np.linspace(self.x0, self.x1, self.values.shape[1])
-        self._spline = RectBivariateSpline(axis, ays, self.values, kx=3, ky=3)
-
-    def _inner_jet(self, pts, order):
-        x = np.clip(pts[:, 0], self.x0, self.x1)
-        y = np.clip(pts[:, 1], self.x0, self.x1)
-        ev = lambda dx, dy: self._spline.ev(x, y, dx=dx, dy=dy)
-        out = [ev(0, 0)]
-        if order >= 1:
-            grad = _batch_last(pts.shape[0], (2,))
-            grad[:, 0], grad[:, 1] = ev(1, 0), ev(0, 1)
-            out.append(grad)
-        if order >= 2:
-            hess = _batch_last(pts.shape[0], (2, 2))
-            hess[:, 0, 0] = ev(2, 0)
-            hess[:, 0, 1] = hess[:, 1, 0] = ev(1, 1)
-            hess[:, 1, 1] = ev(0, 2)
-            out.append(hess)
-        return out
-
-    def to_json(self):
-        return {"kind": "grid", "x0": self.x0, "x1": self.x1,
-                "values": self.values.tolist(),
-                "support_radius": self.support_radius, "time": self.time.to_json()}
 
 
 class SumField(HamiltonianField):
@@ -807,9 +764,6 @@ def field_from_json(data: dict, support_radius: float | None = None) -> Hamilton
                          for exps, c in data["monomials"]]
             return PolyBumpField(monomials, finite("support_radius", support_radius),
                                  time, integer("dim", 2))
-        if kind == "grid":
-            return GridField(finite("x0"), finite("x1"), finite("values"),
-                             finite("support_radius", support_radius), time)
         if kind == "sum":
             return SumField([field_from_json(p, support_radius) for p in data["parts"]])
         if kind == "concat":
@@ -1155,7 +1109,14 @@ def integrate_flow(sc: HamiltonianScenario, x0, t: float):
 
 
 class _WindingTracker:
-    """Accumulates det^2 phase of the tangents' image of R^n, with an alias guard."""
+    """Accumulates det^2 phase of the tangents' image of R^n, with an alias guard.
+
+    Steps are read on the principal branch, as in ``symplectic.winding``,
+    whose contract is that each step turns det^2 by less than half a turn.
+    The guard is stricter: a step of ALIAS_GUARD (0.4 turn) or more raises
+    NumericalError.  It checks that dt is small enough, with a margin below
+    the half turn where the principal branch stops being trustworthy.
+    """
 
     def __init__(self, n: int, tangent0: np.ndarray):
         self.n = n

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .errors import DegenerateSaddleError, InvariantError, ValidationError, convert
 
@@ -146,9 +145,6 @@ class _Topology:
     """
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
-        # imported here: csgraph adds about 1 MB to every process importing qmlab
-        from scipy.sparse.csgraph import connected_components
-
         self.vertices = vertices
         self.triangles = triangles
         n_v, t = len(vertices), triangles
@@ -171,10 +167,7 @@ class _Topology:
             j = open_edges[np.argmin(first[open_edges])]
             e = (int(lo[first[j]]), int(hi[first[j]]))
             raise ValidationError(f"edge {e} lies in {counts[j]} triangles; surface must be closed")
-        n_parts = connected_components(
-            coo_matrix((np.ones(tail.size, dtype=np.int8), (tail, head)), shape=(n_v, n_v)),
-            directed=False)[0]
-        if n_parts != 1:
+        if _component_count(n_v, lo[first], hi[first]) != 1:
             raise ValidationError("mesh is not connected")
         # both half-edges of each undirected edge, in half-edge order
         pairs = np.argsort(edge_key, kind="stable").reshape(-1, 2)
@@ -202,6 +195,25 @@ def _first_repeat(keys: np.ndarray) -> int | None:
     order = np.argsort(keys, kind="stable")
     later = order[1:][keys[order[1:]] == keys[order[:-1]]]
     return int(later.min()) if later.size else None
+
+
+def _component_count(n_v: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Connected components of the graph on n_v vertices with edges (u[i], v[i]).
+
+    Hook and compress: every edge hooks the larger of its two root labels
+    onto the smaller (``np.minimum.at``), then pointer jumping compresses
+    each label to its root.  Labels only decrease, so each round leaves
+    fewer roots, and the loop stops when every edge joins equal labels.
+    """
+    label = np.arange(n_v)
+    while True:
+        a, b = label[u], label[v]
+        if np.array_equal(a, b):
+            return int(np.count_nonzero(label == np.arange(n_v)))
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
 
 
 def _vertex_links(triangles: np.ndarray, n_v: int) -> tuple[np.ndarray, np.ndarray]:

@@ -270,7 +270,6 @@ def malformed_inputs(tmp_path, radial_scenario_file):
                         ("nan", {"n": 1, "columns": [1.0, float("nan")]})):
         write_json(tmp_path / f"frame_{name}.json", frame)
     bump = {"kind": "bump", "amplitude": 0.5, "center": [0.1, 0.0], "radius": 0.5}
-    grid = {"kind": "grid", "x0": -1.0, "x1": 1.0, "values": np.ones((5, 5)).tolist()}
     poly = {"kind": "poly", "monomials": [[[1, 1], 0.5]]}
     for name, h in (("profile", dict(radial["H"], profile=["nan"])),
                     ("support_radius", dict(radial["H"], support_radius="nan")),
@@ -279,9 +278,6 @@ def malformed_inputs(tmp_path, radial_scenario_file):
                     ("center", dict(bump, center=[0.1, "nan"])),
                     ("radius", dict(bump, radius="nan")),
                     ("monomial", dict(poly, monomials=[[[1, 1], "nan"]])),
-                    ("x0", dict(grid, x0="nan")), ("x1", dict(grid, x1="inf")),
-                    ("values", dict(grid, values=np.pad(np.ones((5, 4)), ((0, 0), (0, 1)),
-                                                        constant_values=np.nan).tolist())),
                     ("g", {"kind": "conjugated", "g": [[1.0, "nan"], [0.0, 1.0]], "base": bump})):
         write_json(tmp_path / f"nonfinite_{name}.json", dict(radial, H=h))
     write_json(tmp_path / "nonfinite_ball_radius.json", dict(radial, ball_radius="inf"))
@@ -307,7 +303,7 @@ def malformed_inputs(tmp_path, radial_scenario_file):
 _BAD_PATHS = ("matrix_nan", "time_nan", "row_short", "n_fractional")
 _BAD_FRAMES = ("n_fractional", "columns_short", "nan")
 _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "center", "radius",
-                         "monomial", "x0", "x1", "values", "g", "ball_radius")
+                         "monomial", "g", "ball_radius")
 _BAD_HAMILTONIANS = ("nan", "id_fractional", "id_repeated")
 _REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": True}
 

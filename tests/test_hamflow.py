@@ -13,7 +13,7 @@ from _oracles import (lambda_form_calabi, newton_reference_evolve, radial_calabi
                       radial_calabi_oracle, radial_tau_oracle)
 import qmlab
 from qmlab.errors import ValidationError
-from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap, GridField,
+from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap,
                            HamiltonianScenario, HyperbolicForm, PolyBumpField,
                            QuadratureRule, RadialField, StandardForm, SumField,
                            TimeProfile, birkhoff_average, calabi, concat_scenarios,
@@ -312,16 +312,12 @@ def _calabi_per_time_node(sc):
 
 def _calabi_cases():
     """Scenarios of every field kind, with time profiles that the split rule has to respect."""
-    xs = np.linspace(-1.1, 1.1, 41)
     fields = {
         "radial_t": RadialField([1.0, -0.5, 0.3], support_radius=0.8,
                                 time=TimeProfile(poly=(1.0, 0.2), cos=((0.3, 1),))),
         "bump": BumpField(1.1, [0.2, 0.15], 0.45),
         "poly": PolyBumpField([[(2, 1), 0.7], [(1, 0), -0.4], [(0, 2), 0.5]],
                               support_radius=1.0),
-        "grid": GridField(-1.1, 1.1, np.exp(-4 * (xs[:, None] ** 2 + xs[None, :] ** 2))
-                          * (1 + xs[:, None]), support_radius=1.0,
-                          time=TimeProfile(poly=(0.5, 1.0))),
         "radial_4d": RadialField([0.8], support_radius=1.0, dim=4),
     }
     fields["sum"] = SumField([BumpField(0.9, [0.45, 0.0], 0.3),
@@ -558,24 +554,6 @@ def test_s_restriction_linearity_in_s():
 
 # ---------------------------------------------------------------- fields & json
 
-def test_grid_field_reproduces_smooth_data():
-    xs = np.linspace(-1.1, 1.1, 41)
-    vals = np.exp(-4 * (xs[:, None] ** 2 + xs[None, :] ** 2))
-    f = GridField(-1.1, 1.1, vals, support_radius=1.0)
-    sc = HamiltonianScenario(field=f, ball_radius=1.3, support_radius=1.0, dt=0.01)
-    x = integrate_flow(sc, np.array([0.3, 0.0]), 1.0)
-    assert np.isfinite(x).all()
-    # gradient consistency by finite differences
-    pts = np.array([[0.25, 0.1], [0.5, -0.3]])
-    h = 1e-6
-    for axis in range(2):
-        e = np.zeros(2)
-        e[axis] = h
-        fd = (f.value(pts + e, 0.0) - f.value(pts - e, 0.0)) / (2 * h)
-        assert np.allclose(fd, f.grad(pts, 0.0)[:, axis], atol=1e-5)
-
-
-_GRID_X = np.linspace(-1.1, 1.1, 41)
 _JET_CASES = {
     # field, points, finite-difference step, gradient and Hessian tolerances
     "poly": (PolyBumpField([[(2, 0), 1.0], [(1, 1), -0.5], [(0, 3), 0.2]], support_radius=0.9),
@@ -587,9 +565,6 @@ _JET_CASES = {
                [[0.2, 0.3], [-0.5, 0.4], [0.0, 0.7]], 1e-6, 1e-8, 1e-6),
     "radial_4d": (RadialField([1.0, 0.4], support_radius=0.8, dim=4),
                   [[0.2, 0.3, -0.1, 0.1], [-0.3, 0.1, 0.4, -0.2]], 1e-6, 1e-8, 1e-6),
-    "grid": (GridField(-1.1, 1.1, np.exp(-4 * (_GRID_X[:, None] ** 2 + _GRID_X[None, :] ** 2)),
-                       support_radius=1.0),
-             [[0.25, 0.1], [0.5, -0.3], [-0.6, 0.45]], 1e-6, 1e-8, 1e-6),
     "sum": (SumField([BumpField(0.9, [0.45, 0.0], 0.3), BumpField(-0.6, [-0.45, 0.0], 0.3)]),
             [[0.5, 0.1], [-0.4, -0.1], [0.0, 0.2]], 1e-6, 1e-8, 1e-6),
     "concat": (ConcatField(RadialField([1.0], support_radius=0.7),
@@ -1023,5 +998,6 @@ def test_scenario_json_roundtrip():
             assert np.array_equal(back.field.value(kind_pts, t), f.value(kind_pts, t)), kind
             for got, want in zip(back.field.jet(kind_pts, t, 2), f.jet(kind_pts, t, 2)):
                 assert np.array_equal(got, want), kind
-    with pytest.raises(ValidationError):
-        field_from_json({"kind": "nope"})
+    for kind in ("nope", "grid"):
+        with pytest.raises(ValidationError, match="unknown Hamiltonian kind"):
+            field_from_json({"kind": kind})

@@ -28,6 +28,7 @@ def test_mesh_genus_and_euler():
     assert torus_mesh().genus == 1
     assert genus2_mesh().genus == 2
     assert genus3_mesh().genus == 3
+    assert SurfaceMesh(_random_points(_TORUS.n_vertices), _SHUFFLED_TORUS).genus == 1
 
 
 def test_mesh_rejects_non_manifold():
@@ -49,6 +50,11 @@ def _random_points(n, seed=0):
     return np.random.default_rng(seed).standard_normal((n, 3))
 
 
+_TORUS = torus_mesh()
+# the torus with its vertex ids shuffled: its labels need three hook rounds
+_SHUFFLED_TORUS = np.random.default_rng(1).permutation(_TORUS.n_vertices)[_TORUS.triangles]
+
+
 @pytest.mark.parametrize("n_vertices, tris, message", [
     # triangle 1 is degenerate and also repeats the directed edge (0,1)
     (3, [[0, 1, 2], [0, 1, 1]], "triangle 1 is degenerate"),
@@ -62,6 +68,13 @@ def _random_points(n, seed=0):
     (7, _tetrahedron() + _tetrahedron(3), "Euler characteristic 3 is odd"),
     # three tetrahedra in a chain, each sharing one vertex with the next
     (10, _tetrahedron() + _tetrahedron(3) + _tetrahedron(6), "Euler characteristic 4 exceeds 2"),
+    # three disjoint tetrahedra: the Euler check alone would say 6 exceeds 2
+    (12, _tetrahedron() + _tetrahedron(4) + _tetrahedron(8), "mesh is not connected"),
+    # Euler characteristic 0 + 2 = 2: only the connectivity check rejects these
+    (_TORUS.n_vertices + 4, _TORUS.triangles.tolist() + _tetrahedron(_TORUS.n_vertices),
+     "mesh is not connected"),
+    (_TORUS.n_vertices + 4, _SHUFFLED_TORUS.tolist() + _tetrahedron(_TORUS.n_vertices),
+     "mesh is not connected"),
 ])
 def test_mesh_topology_errors(n_vertices, tris, message):
     with pytest.raises(ValidationError, match=message):

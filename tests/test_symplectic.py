@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qmlab.errors import RefinePathError, ValidationError
-from qmlab.symplectic import (LagrangianFrame, SpPath, check_symplectic,
+from qmlab.symplectic import (SP_PATH_MAGNITUDE, SP_PATH_SAMPLES, SP_PATH_SEGMENTS,
+                              LagrangianFrame, SpPath, check_symplectic,
                               concat_power, coordinate_lagrangian,
                               frame_from_json, frame_to_json,
                               full_rotation_loop, identity_path,
@@ -49,6 +51,29 @@ def test_sp_path_validation():
     p = rotation_path(1.0, 9)
     assert p.n == 1
     assert np.allclose(p.endpoint, rot2(1.0))
+
+
+def _expm_sp_path(n, rng):
+    """random_sp_path's draws, each sample exponentiated directly by scipy's expm."""
+    j = standard_j(n)
+    mats = [np.eye(2 * n)]
+    for _ in range(SP_PATH_SEGMENTS):
+        s = rng.standard_normal((2 * n, 2 * n))
+        gen = j @ (s + s.T) * (SP_PATH_MAGNITUDE / (2 * n))
+        base = mats[-1]
+        mats += [base @ expm(gen * k / SP_PATH_SAMPLES) for k in range(1, SP_PATH_SAMPLES + 1)]
+    return np.stack(mats)
+
+
+def test_random_sp_path_samples_are_symplectic_and_match_expm():
+    for n in (1, 2):
+        for seed in range(50):
+            path = random_sp_path(n, np.random.default_rng(seed))
+            for mat in path.matrices:
+                check_symplectic(mat)
+            ref = _expm_sp_path(n, np.random.default_rng(seed))
+            assert path.matrices.shape == ref.shape
+            assert np.max(np.abs(path.matrices - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------- det^2
