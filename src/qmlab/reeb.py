@@ -4,34 +4,43 @@ The surface is a triangulated mesh carrying per-triangle area weights (the
 symplectic area).  A scalar vertex field is made Morse by the standard
 simulation of simplicity: vertices are totally ordered by ``(value, id)``,
 so equal values never create degenerate combinatorics.  The Reeb graph is
-built by a single sweep over that order, maintaining the connected
-components of the level curve as sets of crossed mesh edges; components
-join or divide only at PL-critical vertices, which become graph nodes.
-Each live component is also the Reeb edge it traces.  A regular vertex
-moves its component past itself in place; every critical vertex, whether
-a minimum, a maximum, a merge or a split, closes the components on its
-lower arcs at one node and opens one component per part of the level just
-above it.
+built by a single sweep over that order.  A connected component of the
+level curve only ever needs to be found, merged and split, never listed,
+so each live component is a union-find class of the mesh edges it crosses,
+with a count of them; components join or divide only at PL-critical
+vertices, which become graph nodes.  Each live component is also the Reeb
+edge it traces.  A regular vertex points its up edges at its down edges'
+class; every critical vertex, whether a minimum, a maximum, a merge or a
+split, closes the components on its lower arcs at one node and opens one
+component per part of the level just above it.  A merge unions two
+classes.  A split walks both circles of the level just above the saddle,
+from triangle to triangle on edge ids, starting from its two upper arcs,
+and gives each circle a class of its own; the same walk lists a
+component's crossed edges for the field-sampling importer.
 
 Each graph edge carries the pushforward of the area measure as an exact
 piecewise-linear density in the field parameter: a triangle crossed by the
 level contributes a linear density on each interval between its own vertex
 values, so recording the totals at every traversed vertex level makes
-downstream quadrature exact for PL data.
+downstream quadrature exact for PL data.  The density can jump only at a
+level where a triangle has two equal vertex values; at every other vertex
+the sweep records one breakpoint.
 
 A mesh validates its topology once, with array operations, when it is
-built; rescaled copies (``normalized``) share it.  The vertex links are
+built; rescaled copies (``normalized``) share it.  Undirected edges are
+numbered once, in the order of their ``(u, v)`` keys, with read-only
+edge -> triangles and triangle -> edges tables.  The vertex links are
 cached on the mesh as one flat array of ring entries plus per-vertex
-offsets, so every field on the same mesh classifies its vertices in one
-vectorized pass over those arrays, and the sweep reuses the classification's
-ranks and the cached links.  A split saddle finds its two new level
-components by walking the level curve from triangle to triangle.
+offsets, with the edge id of each entry, so every field on the same mesh
+classifies its vertices in one vectorized pass over those arrays, and the
+sweep reuses the classification's ranks and the cached links.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,6 +83,8 @@ class SurfaceMesh:
             raise ValidationError("triangles must be (F, 3)")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValidationError("triangle index out of range")
+        if not np.all(np.isfinite(vertices)):
+            raise ValidationError("vertex coordinates must be finite")
         vertices.flags.writeable = False
         triangles.flags.writeable = False
         if area_weights is None:
@@ -104,11 +115,17 @@ class SurfaceMesh:
         return float(self.area_weights.sum())
 
     def edge_triangles(self, u: int, v: int) -> tuple[int, ...]:
-        return self._topo.edge_tris[(min(u, v), max(u, v))]
+        """The two triangles on edge {u, v}, in half-edge order."""
+        keys = self._topo.edge_keys
+        key = min(u, v) * self.n_vertices + max(u, v)
+        i = int(np.searchsorted(keys, key))
+        if i == len(keys) or keys[i] != key:
+            raise KeyError((u, v))
+        return tuple(self._topo.edge_tris[i].tolist())
 
     def vertex_rings(self) -> list[list[int]]:
         """The link of each vertex as an oriented cycle of neighbours."""
-        entries, offsets = self._topo.links()
+        entries, offsets, _ = self._topo.links()
         flat, bounds = entries.tolist(), offsets.tolist()
         return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -131,6 +148,8 @@ def _checked_weights(area_weights, n_triangles: int) -> np.ndarray:
     weights = np.asarray(area_weights, dtype=float)
     if weights.shape != (n_triangles,):
         raise ValidationError("area_weights must have one entry per triangle")
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError("area weights must be finite")
     if np.any(weights <= 0):
         raise ValidationError("area weights must be positive")
     return weights
@@ -161,7 +180,8 @@ class _Topology:
                 f"directed edge ({u},{v}) repeated: mesh is non-manifold or inconsistently oriented")
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         edge_key = lo * n_v + hi
-        keys, first, counts = np.unique(edge_key, return_index=True, return_counts=True)
+        keys, first, edge_of, counts = np.unique(edge_key, return_index=True,
+                                                 return_inverse=True, return_counts=True)
         open_edges = np.flatnonzero(counts != 2)
         if open_edges.size:
             j = open_edges[np.argmin(first[open_edges])]
@@ -169,10 +189,15 @@ class _Topology:
             raise ValidationError(f"edge {e} lies in {counts[j]} triangles; surface must be closed")
         if _component_count(n_v, lo[first], hi[first]) != 1:
             raise ValidationError("mesh is not connected")
-        # both half-edges of each undirected edge, in half-edge order
+        # Edge ids number the undirected edges (u, v), u < v, in the order of
+        # the tuples.  Both half-edges of each edge, in half-edge order, give
+        # its two triangles; half-edge 3 * ti + j gives edge j of triangle ti.
         pairs = np.argsort(edge_key, kind="stable").reshape(-1, 2)
-        self.edge_tris = dict(zip(zip(lo[pairs[:, 0]].tolist(), hi[pairs[:, 0]].tolist()),
-                                  zip((pairs[:, 0] // 3).tolist(), (pairs[:, 1] // 3).tolist())))
+        self.edge_keys = keys
+        self.edge_tris = pairs // 3
+        self.tri_edges = edge_of.reshape(-1, 3)
+        for arr in (self.edge_keys, self.edge_tris, self.tri_edges):
+            arr.flags.writeable = False
         chi = n_v - len(keys) + len(t)
         if chi % 2:
             raise ValidationError(f"Euler characteristic {chi} is odd")
@@ -182,11 +207,18 @@ class _Topology:
         self.genus = genus
         self._links = None
 
-    def links(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex links in CSR form: ``entries[offsets[v]:offsets[v + 1]]`` is
-        the oriented cycle of neighbours of v, built on first use."""
+    def links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vertex links in CSR form, built on first use.
+
+        ``entries[offsets[v]:offsets[v + 1]]`` is the oriented cycle of
+        neighbours of v, and ``edges`` holds the id of the edge from v to
+        each entry.
+        """
         if self._links is None:
-            self._links = _vertex_links(self.triangles, len(self.vertices))
+            entries, offsets, corners = _vertex_links(self.triangles, len(self.vertices))
+            edges = self.tri_edges.ravel()[corners]
+            edges.flags.writeable = False
+            self._links = entries, offsets, edges
         return self._links
 
 
@@ -216,13 +248,16 @@ def _component_count(n_v: int, u: np.ndarray, v: np.ndarray) -> int:
             label, jumped = jumped, jumped[jumped]
 
 
-def _vertex_links(triangles: np.ndarray, n_v: int) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_links(triangles: np.ndarray,
+                  n_v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk every vertex link at once over the triangle corners.
 
     The corner of v in triangle (v, k, w) maps k to w, and the link of v
     is the cycle of that map.  A ring starts at k of v's first triangle and
     follows the corner whose k is the current w; the vertices are walked
-    in parallel, one ring position per step.
+    in parallel, one ring position per step.  Returns the ring entries,
+    their CSR offsets and each entry's corner ``3 * ti + j``, which is also
+    the number of the half-edge from v to the entry.
     """
     center = triangles.ravel()
     key = triangles[:, [1, 2, 0]].ravel()
@@ -235,7 +270,7 @@ def _vertex_links(triangles: np.ndarray, n_v: int) -> tuple[np.ndarray, np.ndarr
     by_halfedge = np.argsort(halfedge)
     nxt = by_halfedge[np.searchsorted(halfedge, center * n_v + succ, sorter=by_halfedge)]
     start = np.argsort(center, kind="stable")[offsets[:-1]]
-    entries = np.empty(center.size, dtype=np.intp)
+    corners = np.empty(center.size, dtype=np.intp)
     cur = start.copy()
     broken = np.zeros(n_v, dtype=bool)
     for i in range(int(deg.max(initial=0))):
@@ -243,27 +278,26 @@ def _vertex_links(triangles: np.ndarray, n_v: int) -> tuple[np.ndarray, np.ndarr
         c = cur[live]
         if i:
             broken[live[c == start[live]]] = True
-        entries[offsets[live] + i] = key[c]
+        corners[offsets[live] + i] = c
         cur[live] = nxt[c]
     broken |= cur != start
     if np.any(broken):
         raise ValidationError(f"link of vertex {int(np.argmax(broken))} is not a single cycle")
+    entries = key[corners]
     entries.flags.writeable = False
     offsets.flags.writeable = False
-    return entries, offsets
+    return entries, offsets, corners
 
 
 def read_off(text: str) -> SurfaceMesh:
     """Parse an ASCII OFF file (triangles only)."""
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = re.sub(r"#.*", "", text).split()
     if not tokens or tokens[0] != "OFF":
         raise ValidationError("not an OFF file")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
+        if nv < 0 or nf < 0:
+            raise ValueError(f"negative counts {nv} {nf}")
         pos = 4
         verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
         pos += 3 * nv
@@ -331,7 +365,7 @@ def _classify(mesh: SurfaceMesh, f: MorseField) -> tuple[list[str], np.ndarray, 
     """
     if len(f.values) != mesh.n_vertices:
         raise ValidationError("field length does not match the mesh")
-    entries, offsets = mesh._topo.links()
+    entries, offsets, _ = mesh._topo.links()
     n_v = mesh.n_vertices
     order = np.lexsort((np.arange(n_v), f.values))
     rank = np.empty(n_v, dtype=np.intp)
@@ -390,6 +424,7 @@ def random_morse_field(mesh: SurfaceMesh, rng: np.random.Generator) -> MorseFiel
 def read_morse_csv(text: str, n_vertices: int) -> MorseField:
     """Parse 'vertex_id,value' rows (optional header) into a MorseField."""
     values = np.full(n_vertices, np.nan)
+    seen = np.zeros(n_vertices, dtype=bool)
     reader = csv.reader(io.StringIO(text))
     for row in reader:
         if not row or row[0].strip().lower() in ("vertex_id", "vertex", "id"):
@@ -400,8 +435,11 @@ def read_morse_csv(text: str, n_vertices: int) -> MorseField:
             raise ValidationError(f"malformed Morse CSV row {row!r}") from exc
         if not 0 <= idx < n_vertices:
             raise ValidationError(f"vertex id {idx} out of range")
+        if seen[idx]:
+            raise ValidationError(f"Morse CSV repeats vertex {idx}")
+        seen[idx] = True
         values[idx] = val
-    if np.any(np.isnan(values)):
+    if not seen.all():
         raise ValidationError("Morse CSV does not cover every vertex")
     return MorseField(values)
 
@@ -423,8 +461,13 @@ class ReebEdge:
     """An edge of the Reeb graph, oriented lo -> hi by increasing field value.
 
     ``breakpoints`` is the exact PL density (area per unit field value) of
-    the pushforward measure on the edge's cylinder; ``h_breakpoints`` is
-    optionally filled by the field-sampling importer.
+    the pushforward measure on the edge's cylinder, as ``(c, density)``
+    pairs with non-decreasing c.  A repeated c marks a jump.  The sweep
+    records a vertex level twice, before and after the vertex, only when a
+    triangle of its star has two equal vertex values, which is where the
+    density can jump; a level that several vertices share is recorded once
+    per vertex.  ``h_breakpoints`` is optionally filled by the
+    field-sampling importer.
     """
 
     id: int
@@ -432,7 +475,7 @@ class ReebEdge:
     hi: int
     f_lo: float
     f_hi: float
-    breakpoints: tuple  # ((c, density), ...) with strictly increasing c
+    breakpoints: tuple  # ((c, density), ...); a repeated c marks a jump
     source_edges: tuple = ()
     h_breakpoints: tuple | None = None
 
@@ -507,36 +550,28 @@ def _tri_coeffs(lams: np.ndarray, area: np.ndarray) -> tuple[np.ndarray, ...]:
 class _Comp:
     """A live level component and the Reeb edge it traces.
 
-    ``edges`` is the set of mesh edges the level curve crosses and
-    ``a + b*c`` the density of its crossed triangles.  The Reeb edge opens
-    at node ``lo`` and collects the density (and, under field sampling, the
-    h-value) at every level the sweep records until it closes at ``hi``.
+    The component is one union-find class of the mesh edges it crosses:
+    ``count`` of them cross the level, and ``a + b*c`` is the density of
+    their crossed triangles.  The Reeb edge opens at node ``lo`` and
+    collects the density (and, under field sampling, the h-value) at every
+    level the sweep records until it closes at ``hi``.
     """
 
-    __slots__ = ("id", "edges", "a", "b", "lo", "f_lo", "hi", "f_hi", "source_edges",
+    __slots__ = ("id", "count", "a", "b", "lo", "f_lo", "hi", "f_hi", "source_edges",
                  "bps", "h_bps")
 
-    def __init__(self, cid: int, edges: set, a: float, b: float, lo: int, f_lo: float,
+    def __init__(self, cid: int, count: int, a: float, b: float, lo: int, f_lo: float,
                  source_edges: tuple):
         self.id = cid
-        self.edges = edges
+        self.count = count
         self.a = a
         self.b = b
         self.lo = lo
         self.f_lo = f_lo
         self.hi = self.f_hi = None
         self.source_edges = source_edges
-        self.bps = [(f_lo, self.density_at(f_lo))]
+        self.bps = [(f_lo, a + b * f_lo)]
         self.h_bps = []
-
-    def density_at(self, c: float) -> float:
-        return self.a + self.b * c
-
-    def close(self, node: int, c: float) -> set:
-        """End the Reeb edge at ``node`` and hand over the crossed edges."""
-        self.hi, self.f_hi = node, c
-        edges, self.edges = self.edges, None
-        return edges
 
     def reeb_edge(self, node_h: dict[int, float] | None) -> ReebEdge:
         """The closed edge; ``node_h`` holds the sampled field at every node."""
@@ -552,11 +587,15 @@ class _Comp:
 def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None) -> ReebGraph:
     """Reeb graph of a PL Morse field by a sorted sweep over vertex levels.
 
-    A regular vertex moves its level component past itself in place.  Every
+    Each live level component is a union-find class of the mesh edges it
+    crosses, keyed by the class's root edge, with a count of those edges.
+    A regular vertex points its up edges at its down edges' class.  Every
     critical vertex takes one path: it closes the components on its lower
     arcs (none at a minimum, one at a maximum or split, two at a merge) at
     one new node, and opens one component per part of the level just above
-    it (none at a maximum, two at a split).
+    it: none at a maximum, the union of the closed classes at a minimum or
+    merge, and at a split the two circles that walks from its upper arcs
+    find, each moved into a class of its own.
 
     ``sample_field(point) -> float``, when given, is sampled along every
     recorded level component; the samples must be constant on components
@@ -565,94 +604,108 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None) -> ReebGraph
     Hamiltonian.
     """
     kinds, order_arr, rank = _classify(mesh, f)
-    entries, offsets = mesh._topo.links()
-    tris_arr = mesh.triangles
+    topo = mesh._topo
+    entries, offsets, ring_edges = topo.links()
+    n_v, tris_arr = mesh.n_vertices, mesh.triangles
+    # triangles with their vertices in sweep order
     tri_rank = rank[tris_arr]
-    # triangles with their vertices in sweep order, and each corner's place in it
     by_rank = np.argsort(tri_rank, axis=1)
-    tri_sorted_arr = np.take_along_axis(tris_arr, by_rank, axis=1)
-    a1, b1, a2, b2 = _tri_coeffs(f.values[tri_sorted_arr], mesh.area_weights)
+    lams = f.values[np.take_along_axis(tris_arr, by_rank, axis=1)]
+    a1, b1, a2, b2 = _tri_coeffs(lams, mesh.area_weights)
     # Change of a triangle's density coefficients as the sweep passes one of
     # its corners: the lowest opens regime 1, the middle switches to regime
-    # 2, the highest closes regime 2.  Corners are listed per vertex in
-    # triangle order (the CSR offsets of the vertex links).
-    place = np.argsort(by_rank, axis=1).ravel()
-    by_vertex = np.argsort(tris_arr.ravel(), kind="stable")
-    corner_tri, corner_place = by_vertex // 3, place[by_vertex]
-    # new minus old, with 0.0 for a closed regime, so that signed zeros match
-    da = np.stack([a1 - 0.0, a2 - a1, 0.0 - a2], axis=1)[corner_tri, corner_place]
-    db = np.stack([b1 - 0.0, b2 - b1, 0.0 - b2], axis=1)[corner_tri, corner_place]
+    # 2, the highest closes regime 2.  A vertex's star sums its corners'
+    # changes in triangle order.
+    rows = np.arange(len(tris_arr))[:, None]
+    place = np.argsort(by_rank, axis=1)
+    da = np.stack([a1, a2 - a1, -a2], axis=1)[rows, place]
+    db = np.stack([b1, b2 - b1, -b2], axis=1)[rows, place]
+    star_a = np.bincount(tris_arr.ravel(), weights=da.ravel(), minlength=n_v)
+    star_b = np.bincount(tris_arr.ravel(), weights=db.ravel(), minlength=n_v)
+    # Without a tied triangle in its star, a vertex's regime changes leave
+    # the density continuous, so its level needs one breakpoint, not two.
+    tied = np.zeros(n_v, dtype=bool)
+    tied[tris_arr[(lams[:, 0] == lams[:, 1]) | (lams[:, 1] == lams[:, 2])]] = True
+    # A level crosses a triangle on its long edge (lowest to highest vertex)
+    # and, below the middle vertex's rank, on its low edge, above it on its
+    # high edge.  Edge (j + 1) % 3 of a triangle is the one opposite corner j.
+    opposite = np.take_along_axis(topo.tri_edges, (by_rank + 1) % 3, axis=1)
+    mid_rank = np.sort(tri_rank, axis=1)[:, 1]
+    up = rank[entries] > np.repeat(rank, np.diff(offsets))
+    up_bounds = np.zeros(n_v + 1, dtype=np.intp)
+    np.cumsum(np.add.reduceat(up, offsets[:-1], dtype=np.intp), out=up_bounds[1:])
 
     # Python lists: the sweep reads them one element at a time
     vals = f.values.tolist()
     order = order_arr.tolist()
-    pos = rank.tolist()
-    ring_flat, bounds = entries.tolist(), offsets.tolist()
-    star_da, star_db = da.tolist(), db.tolist()
-    tri_sum = tris_arr.sum(axis=1).tolist()
-    mid_rank = np.sort(tri_rank, axis=1)[:, 1].tolist()
+    star_a, star_b, tied = star_a.tolist(), star_b.tolist(), tied.tolist()
+    high_edge, long_edge, low_edge = opposite.T.tolist()
+    mid_rank = mid_rank.tolist()
     regime1, regime2 = (a1.tolist(), b1.tolist()), (a2.tolist(), b2.tolist())
-    edge_tris = mesh._topo.edge_tris
+    edge_tri0, edge_tri1 = topo.edge_tris.T.tolist()
+    keys = topo.edge_keys.tolist()
+    ring, bounds = ring_edges.tolist(), offsets.tolist()
+    # v's up and down edges in ring order; down_flat holds every other ring entry
+    up_flat, down_flat = ring_edges[up].tolist(), ring_edges[~up].tolist()
+    up_bounds = up_bounds.tolist()
     verts = mesh.vertices
 
-    def ek(u, v):
-        return (u, v) if u < v else (v, u)
+    parent = list(range(len(keys)))
+    owner: list[_Comp | None] = [None] * len(keys)  # root edge -> its class's component
 
-    def level_cycle(e0: tuple[int, int], k: int) -> set[tuple[int, int]]:
-        """Crossed edges of the level curve through e0 at position k.
+    def find(e: int) -> int:
+        while parent[e] != e:  # path halving
+            parent[e] = e = parent[parent[e]]
+        return e
 
-        The level leaves a crossed triangle through its other crossed edge:
-        the one joining the third vertex to the endpoint on the far side of
-        the level.  Every crossed edge lies in two crossed triangles, so the
-        walk closes on e0.
+    def level_cycle(e0: int, k: int) -> tuple[list[int], list[int]]:
+        """Crossed edges and triangles of the level curve through e0 at position k.
+
+        The level leaves a crossed triangle through its other crossed edge.
+        Every crossed edge lies in two crossed triangles, so the walk
+        closes on e0, and it visits each crossed triangle of the circle once.
         """
-        cycle = {e0}
-        e, ti = e0, edge_tris[e0][0]
+        edges, tris = [e0], []
+        e, ti = e0, edge_tri0[e0]
         while True:
-            x, y = e
-            below, above = (x, y) if pos[x] <= k else (y, x)
-            z = tri_sum[ti] - x - y
-            e = ek(z, above) if pos[z] <= k else ek(below, z)
+            tris.append(ti)
+            if e != long_edge[ti]:
+                e = long_edge[ti]
+            else:
+                e = low_edge[ti] if k < mid_rank[ti] else high_edge[ti]
             if e == e0:
-                return cycle
-            cycle.add(e)
-            t1, t2 = edge_tris[e]
-            ti = t2 if t1 == ti else t1
+                return edges, tris
+            edges.append(e)
+            ti = edge_tri1[e] if edge_tri0[e] == ti else edge_tri0[e]
 
-    def split_parts(pool: set, k: int, v: int) -> list[tuple[set, float, float]]:
-        """The two circles of a split level, each with its triangles' coefficients."""
-        cycles = []
-        remaining = set(pool)
-        while remaining:
-            cycle = level_cycle(next(iter(remaining)), k)
-            remaining -= cycle
-            cycles.append(cycle)
-        if len(cycles) != 2:
+    def split_parts(v: int, k: int, ups: list[int], count: int) -> list[tuple]:
+        """The circles of a split level through its upper arcs, each moved into
+        a class of its own and summing its own triangles' coefficients."""
+        circles = {}  # root -> (edges, triangles); each up edge's arc starts one walk
+        for e0 in ups:
+            if parent[e0] not in circles:
+                circles[e0] = level_cycle(e0, k)
+                for e in circles[e0][0]:
+                    parent[e] = e0
+        n_crossed = sum(len(edges) for edges, _ in circles.values())
+        if len(circles) != 2 or n_crossed != count:
+            found = len(circles) if n_crossed == count else f"more than {len(circles)}"
             raise InvariantError(
-                f"saddle at vertex {v} produced {len(cycles)} components; expected 2 on an orientable surface")
-        # each part lists its edges in pool order
-        parts = ({e for e in pool if e in cycles[0]}, {e for e in pool if e not in cycles[0]})
-        out = []
-        for part in sorted(parts, key=min):
-            # both triangles on a crossed edge are crossed
-            tset = set()
-            for e in part:
-                tset.update(edge_tris[e])
+                f"saddle at vertex {v} produced {found} components; expected 2 on an orientable surface")
+        parts = []
+        for root, (edges, tris) in sorted(circles.items(), key=lambda item: min(item[1][0])):
             a = b = 0.0
-            for ti in tset:
+            for ti in tris:
                 ca, cb = regime1 if k < mid_rank[ti] else regime2
                 a += ca[ti]
                 b += cb[ti]
-            out.append((part, a, b))
-        return out
+            parts.append((root, len(edges), a, b, [e for e in ups if parent[e] == root]))
+        return parts
 
-    comps: list[_Comp] = []  # every component opened, in id order
-    edge_comp: dict[tuple[int, int], _Comp] = {}
-    nodes: dict[int, ReebNode] = {}
-
-    def sample_level(comp: _Comp, c: float):
+    def sample_level(comp: _Comp, c: float, e0: int, k: int):
         samples = []
-        for (u, w) in comp.edges:
+        for e in level_cycle(e0, k)[0]:
+            u, w = divmod(keys[e], n_v)
             fu, fw = vals[u], vals[w]
             if fu == fw:
                 pt = 0.5 * (verts[u] + verts[w])
@@ -660,93 +713,89 @@ def build_reeb(mesh: SurfaceMesh, f: MorseField, sample_field=None) -> ReebGraph
                 t = np.clip((c - fu) / (fw - fu), 0.0, 1.0)
                 pt = (1 - t) * verts[u] + t * verts[w]
             samples.append(float(sample_field(pt)))
-        if not samples:
-            return
         spread = max(samples) - min(samples)
         if spread > LEVEL_CONSTANCY_TOL:
             raise ValidationError(
                 f"sampled field varies by {spread:.3e} on a level component: it does not commute with f")
         comp.h_bps.append((c, float(np.mean(samples))))
 
-    def record_level(comp: _Comp, c: float):
-        comp.bps.append((c, comp.density_at(c)))
-        if sample_field is not None:
-            sample_level(comp, c)
+    comps: list[_Comp] = []  # every component opened, in id order
+    nodes: dict[int, ReebNode] = {}
+    sampling = sample_field is not None
 
     for k, v in enumerate(order):
         lam = vals[v]
-        lo_v, hi_v = bounds[v], bounds[v + 1]
-        ring = ring_flat[lo_v:hi_v]
-        down_edges = [ek(u, v) for u in ring if pos[u] < k]
-        up_edges = [ek(u, v) for u in ring if pos[u] > k]
-        deltas = list(zip(star_da[lo_v:hi_v], star_db[lo_v:hi_v]))
+        ups = up_flat[up_bounds[v]:up_bounds[v + 1]]
+        downs = down_flat[bounds[v] - up_bounds[v]:bounds[v + 1] - up_bounds[v + 1]]
 
         if kinds[v] == KIND_REGULAR:
-            comp = edge_comp[down_edges[0]]
-            record_level(comp, lam)
-            for da_t, db_t in deltas:
-                comp.a += da_t
-                comp.b += db_t
-            for e in down_edges:
-                comp.edges.discard(e)
-                edge_comp.pop(e, None)
-            for e in up_edges:
-                comp.edges.add(e)
-                edge_comp[e] = comp
-            record_level(comp, lam)
+            root = find(downs[0])
+            comp = owner[root]
+            if tied[v]:
+                comp.bps.append((lam, comp.a + comp.b * lam))
+                if sampling:
+                    sample_level(comp, lam, downs[0], k - 1)
+            comp.a += star_a[v]
+            comp.b += star_b[v]
+            comp.count += len(ups) - len(downs)
+            for e in ups:
+                parent[e] = root
+            comp.bps.append((lam, comp.a + comp.b * lam))
+            if sampling:
+                sample_level(comp, lam, ups[0], k)
             continue
 
-        # close the components on the lower arcs at one node; consecutive ring
-        # entries span a triangle with v, so all edges of one arc share a component
-        start = next((i for i, u in enumerate(ring) if pos[u] > k), 0)
-        closing = list(dict.fromkeys(edge_comp[ek(u, v)] for u in ring[start:] + ring[:start]
-                                     if pos[u] < k))
+        # close the components on the lower arcs at one node, in ring order
+        # from a higher neighbour: the ring entries before the first higher
+        # one are all lower.  Consecutive ring entries span a triangle with v,
+        # so all edges of one arc share a component.
+        start = ring[bounds[v]:bounds[v + 1]].index(ups[0]) if ups else 0
+        closing: dict[_Comp, tuple[int, int]] = {}
+        for e in downs[start:] + downs[:start]:
+            root = find(e)
+            comp = owner[root]
+            if comp is None or comp.hi is not None:
+                raise InvariantError(f"a down edge of vertex {v} is on no level component below it")
+            closing.setdefault(comp, (root, e))
         node = len(nodes)
         nodes[node] = ReebNode(id=node, f=lam, kind=kinds[v], vertex=v)
-        below = []
-        for comp in closing:
-            record_level(comp, lam)
-            below.append(comp.close(node, lam))
+        for comp, (_, e) in closing.items():
+            comp.bps.append((lam, comp.a + comp.b * lam))
+            if sampling:
+                sample_level(comp, lam, e, k - 1)
+            comp.hi, comp.f_hi = node, lam
 
         # the crossed edges just above the vertex
-        pool = set(below[0]) if below else set()
-        pool.update(*below[1:])
-        n_below = len(pool)
-        pool.difference_update(down_edges)
-        if len(pool) != n_below - len(down_edges):
-            raise InvariantError(f"a down edge of vertex {v} is on no level component below it")
-        if pool and not up_edges:
+        count = sum(comp.count for comp in closing) - len(downs) + len(ups)
+        if count and not ups:
             raise InvariantError("component at a maximum is larger than the vertex star")
-        pool.update(up_edges)
-        for e in down_edges:
-            edge_comp.pop(e, None)
-
         # open one component per part: two when both lower arcs were on one circle
         if kinds[v] == KIND_SADDLE and len(closing) == 1:
-            parts = split_parts(pool, k, v)
-        elif pool:
-            # a min starts from 0.0, a merge from its first component: signed zeros differ
-            a, b = (closing[0].a, closing[0].b) if closing else (0.0, 0.0)
-            for da_t, db_t in [(c.a, c.b) for c in closing[1:]] + deltas:
-                a += da_t
-                b += db_t
-            parts = [(pool, a, b)]
+            parts = split_parts(v, k, ups, count)
+        elif count:
+            roots = [root for root, _ in closing.values()] or [ups[0]]
+            for r in roots[1:]:
+                parent[r] = roots[0]
+            a = sum(comp.a for comp in closing) + star_a[v]
+            b = sum(comp.b for comp in closing) + star_b[v]
+            parts = [(roots[0], count, a, b, ups)]
         else:
             parts = []
-        for part, a, b in parts:
-            comp = _Comp(len(comps), part, a, b, node, lam,
-                         tuple(sorted(e for e in up_edges if e in part)))
+        for root, n_crossed, a, b, sources in parts:
+            for e in sources:
+                parent[e] = root
+            comp = _Comp(len(comps), n_crossed, a, b, node, lam,
+                         tuple(divmod(keys[e], n_v) for e in sorted(sources)))
             comps.append(comp)
-            for e in part:
-                edge_comp[e] = comp
-            if sample_field is not None:
-                sample_level(comp, lam)
+            owner[root] = comp
+            if sampling:
+                sample_level(comp, lam, sources[0], k)
 
     if any(comp.hi is None for comp in comps):
         raise InvariantError("sweep finished with open level components")
 
     node_h = None
-    if sample_field is not None:
+    if sampling:
         node_h = {nid: float(sample_field(verts[node.vertex]))
                   for nid, node in nodes.items()}
 

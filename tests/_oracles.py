@@ -6,8 +6,9 @@ pushforward densities), radial invariants through 1-d quadrature of closed
 forms, Calabi also as the integral of lambda(X_H) over space and time (the
 primitive form that the library turns into -n times the integral of H), and
 rotation numbers through explicit orbit averages, the fiber range of the
-boundary turns through sampled lifts (no closed form), and the midpoint flow
-through a fixed number of full Newton iterates (no stop test, no predictor).
+boundary turns through sampled lifts (no closed form), the midpoint flow
+through a fixed number of full Newton iterates (no stop test, no predictor),
+and the Reeb sweep through sets of crossed (u, v) edges (no union-find).
 """
 
 import numpy as np
@@ -205,3 +206,132 @@ def newton_reference_evolve(sc, pts, periods, iterates=8):
                 w = w - np.linalg.solve(eye - 0.5 * h * dvel, resid[:, :, None])[:, :, 0]
             x = w
     return x
+
+
+class _SetComp:
+    """A level component of ``reeb_sweep_oracle``: its crossed edges as a set."""
+
+    def __init__(self, cid, edges, a, b, lo, f_lo, source_edges):
+        self.id, self.edges, self.a, self.b = cid, edges, a, b
+        self.lo, self.f_lo, self.hi, self.f_hi = lo, f_lo, None, None
+        self.source_edges = source_edges
+        self.bps = [(f_lo, a + b * f_lo)]
+
+
+def reeb_sweep_oracle(mesh, f):
+    """The Reeb graph of ``build_reeb`` from a sweep over sets of crossed edges.
+
+    Every live level component is a ``set`` of (u, v) mesh edges, u < v;
+    a regular vertex adds and removes the edges of its star and records its
+    level twice, before and after, and a split walks the level curve
+    triangle by triangle until its pool of crossed edges is used up.  It
+    shares the vertex classification and the per-triangle density
+    coefficients with the library (``_classify``, ``_tri_coeffs``), not the
+    sweep.
+    """
+    from qmlab.errors import InvariantError
+    from qmlab.reeb import (KIND_REGULAR, KIND_SADDLE, ReebEdge, ReebGraph, ReebNode,
+                            _classify, _dedupe_breakpoints, _tri_coeffs)
+
+    kinds, order, rank = _classify(mesh, f)
+    vals, pos = f.values.tolist(), rank.tolist()
+    tris = mesh.triangles.tolist()
+    rings = mesh.vertex_rings()
+    by_rank = np.argsort(rank[mesh.triangles], axis=1)
+    a1, b1, a2, b2 = (c.tolist() for c in _tri_coeffs(
+        f.values[np.take_along_axis(mesh.triangles, by_rank, axis=1)], mesh.area_weights))
+    mid_rank = np.sort(rank[mesh.triangles], axis=1)[:, 1].tolist()
+    edge_tris, star = {}, [[] for _ in vals]
+    for ti, t in enumerate(tris):
+        for j in range(3):
+            u, w = t[j], t[(j + 1) % 3]
+            edge_tris.setdefault((min(u, w), max(u, w)), []).append(ti)
+            star[u].append(ti)
+
+    def ek(u, v):
+        return (u, v) if u < v else (v, u)
+
+    def delta(ti, v):
+        """New minus old density coefficients of triangle ti as the sweep passes v."""
+        place = sorted(tris[ti], key=lambda u: pos[u]).index(v)
+        new = [(a1[ti], b1[ti]), (a2[ti], b2[ti]), (0.0, 0.0)][place]
+        old = [(0.0, 0.0), (a1[ti], b1[ti]), (a2[ti], b2[ti])][place]
+        return new[0] - old[0], new[1] - old[1]
+
+    def level_cycle(e0, k):
+        cycle = {e0}
+        e, ti = e0, edge_tris[e0][0]
+        while True:
+            x, y = e
+            below, above = (x, y) if pos[x] <= k else (y, x)
+            z = sum(tris[ti]) - x - y
+            e = ek(z, above) if pos[z] <= k else ek(below, z)
+            if e == e0:
+                return cycle
+            cycle.add(e)
+            t1, t2 = edge_tris[e]
+            ti = t2 if t1 == ti else t1
+
+    def part_coeffs(part, k):
+        a = b = 0.0
+        for ti in {ti for e in part for ti in edge_tris[e]}:
+            if k < mid_rank[ti]:
+                a, b = a + a1[ti], b + b1[ti]
+            else:
+                a, b = a + a2[ti], b + b2[ti]
+        return a, b
+
+    comps, edge_comp, nodes = [], {}, {}
+    for k, v in enumerate(order.tolist()):
+        lam, ring = vals[v], rings[v]
+        down = [ek(u, v) for u in ring if pos[u] < k]
+        up = [ek(u, v) for u in ring if pos[u] > k]
+        if kinds[v] == KIND_REGULAR:
+            comp = edge_comp[down[0]]
+            comp.bps.append((lam, comp.a + comp.b * lam))
+            for ti in star[v]:
+                da, db = delta(ti, v)
+                comp.a, comp.b = comp.a + da, comp.b + db
+            comp.edges.difference_update(down)
+            comp.edges.update(up)
+            edge_comp.update(dict.fromkeys(up, comp))
+            comp.bps.append((lam, comp.a + comp.b * lam))
+            continue
+        start = next((i for i, u in enumerate(ring) if pos[u] > k), 0)
+        closing = list(dict.fromkeys(edge_comp[ek(u, v)] for u in ring[start:] + ring[:start]
+                                     if pos[u] < k))
+        node = len(nodes)
+        nodes[node] = ReebNode(id=node, f=lam, kind=kinds[v], vertex=v)
+        pool = set()
+        for comp in closing:
+            comp.bps.append((lam, comp.a + comp.b * lam))
+            comp.hi, comp.f_hi = node, lam
+            pool |= comp.edges
+        pool = (pool - set(down)) | set(up)
+        if kinds[v] == KIND_SADDLE and len(closing) == 1:
+            cycles, remaining = [], set(pool)
+            while remaining:
+                cycles.append(level_cycle(next(iter(remaining)), k))
+                remaining -= cycles[-1]
+            if len(cycles) != 2:
+                raise InvariantError(f"saddle at vertex {v} produced {len(cycles)} components")
+            parts = [(part, *part_coeffs(part, k)) for part in sorted(cycles, key=min)]
+        elif pool:
+            a, b = (closing[0].a, closing[0].b) if closing else (0.0, 0.0)
+            for comp in closing[1:]:
+                a, b = a + comp.a, b + comp.b
+            for ti in star[v]:
+                da, db = delta(ti, v)
+                a, b = a + da, b + db
+            parts = [(pool, a, b)]
+        else:
+            parts = []
+        for part, a, b in parts:
+            comp = _SetComp(len(comps), part, a, b, node, lam,
+                            tuple(sorted(e for e in up if e in part)))
+            comps.append(comp)
+            edge_comp.update(dict.fromkeys(part, comp))
+    edges = {c.id: ReebEdge(id=c.id, lo=c.lo, hi=c.hi, f_lo=c.f_lo, f_hi=c.f_hi,
+                            breakpoints=_dedupe_breakpoints(c.bps), source_edges=c.source_edges)
+             for c in comps}
+    return ReebGraph(nodes=nodes, edges=edges, genus=mesh.genus)

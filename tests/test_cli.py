@@ -237,7 +237,9 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     form_<name>.json carry a "form" that is not an object, scenario_list.json
     is a list, and iso_scenario_number.json has "scenario": 5.  Graph
     Hamiltonians ham_<name>.json on the mesh's graph carry a NaN breakpoint,
-    a fractional edge id or one edge twice.
+    a fractional edge id or one edge twice.  The mesh mesh_nan.off has one
+    NaN coordinate, mesh_negative.off a negative vertex count, and the Morse
+    function morse_repeated.csv lists vertex 0 twice.
     """
     radial = json.loads(radial_scenario_file.read_text())
     write_json(tmp_path / "bad_dt.json", dict(radial, dt="fast"))
@@ -290,6 +292,12 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     (tmp_path / "mesh.off").write_text(write_off(mesh))
     (tmp_path / "morse.csv").write_text("vertex_id,value\n" + "\n".join(
         f"{i},{v}" for i, v in enumerate(height_field(mesh).values)))
+    lines = write_off(mesh).splitlines()
+    lines[2 + 5] = " ".join(lines[2 + 5].split()[:2] + ["nan"])  # vertex 5
+    (tmp_path / "mesh_nan.off").write_text("\n".join(lines) + "\n")
+    (tmp_path / "mesh_negative.off").write_text("OFF\n-1 0 0\n")
+    (tmp_path / "morse_repeated.csv").write_text(
+        (tmp_path / "morse.csv").read_text() + "\n0,5.5\n")
     edges = GraphHamiltonian.constant(build_reeb(mesh, height_field(mesh)), 1.0).to_json()["edges"]
     for name, recs in (("nan", [dict(edges[0], breakpoints=[[c, float("nan")]
                                                             for c, _ in edges[0]["breakpoints"]])]
@@ -339,6 +347,10 @@ _REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": T
     + [("reeb", dict(_REEB_SPEC, hamiltonian_file=f"ham_{name}.json"))
        for name in _BAD_HAMILTONIANS]
     + [("reeb", dict(_REEB_SPEC, normalize="no"))]
+    + [("reeb", dict(_REEB_SPEC, mesh_file="mesh_nan.off", normalize=normalize))
+       for normalize in (True, False)]
+    + [("reeb", dict(_REEB_SPEC, mesh_file="mesh_negative.off")),
+       ("reeb", dict(_REEB_SPEC, morse_file="morse_repeated.csv"))]
     + [("calabi", {"scenario_file": name})
        for name in ("form_string.json", "form_list.json", "scenario_list.json")]
     + [("cal_s", {"isotopy_file": "iso_scenario_number.json", "p": 2, "n_points": 8,
@@ -359,7 +371,8 @@ _REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": T
         "eta_exponent_fractional", "eta_coefficient_nan"]
     + [f"nonfinite_{name}" for name in _NON_FINITE_SCENARIOS] + ["reeb_constant_nan"]
     + [f"reeb_hamiltonian_{name}" for name in _BAD_HAMILTONIANS]
-    + ["reeb_normalize_string", "form_string", "form_list", "scenario_list",
+    + ["reeb_normalize_string", "reeb_mesh_nan_normalized", "reeb_mesh_nan",
+       "reeb_mesh_negative_count", "reeb_morse_repeated", "form_string", "form_list", "scenario_list",
        "isotopy_scenario_number", "path_file_list", "schedule_string"]
     + [f"path_{name}" for name in _BAD_PATHS] + [f"frame_{name}" for name in _BAD_FRAMES])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):

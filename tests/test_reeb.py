@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import surface_integral_oracle
+from _oracles import reeb_sweep_oracle, surface_integral_oracle
 from qmlab.errors import (DegenerateSaddleError, InvariantError, ValidationError)
 from qmlab.meshes import (genus2_mesh, genus3_mesh, genus_chain_mesh,
                           height_field, sphere_mesh, torus_mesh)
@@ -177,8 +177,35 @@ def test_off_roundtrip(tmp_path):
     assert back.genus == 1
     assert np.allclose(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
+    # comments and line breaks carry no meaning
+    commented = read_off("# a torus\n" + write_off(mesh).replace("\n", " # end of line\n", 3))
+    assert np.array_equal(commented.vertices, mesh.vertices)
+    assert np.array_equal(commented.triangles, mesh.triangles)
     with pytest.raises(ValidationError):
         read_off("not an off file")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("OFF\n-1 0 0\n", "malformed OFF file: negative counts"),
+    ("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n", "malformed OFF file: negative counts"),
+    ("OFF # header comment\n4 4 0\n0 0 0\n1 0 0 # a vertex\n0 1 nan\n0 0 1\n"
+     "3 0 1 2\n3 0 2 3\n3 0 3 1\n3 1 3 2\n", "vertex coordinates must be finite"),
+], ids=["negative_vertex_count", "negative_face_count", "nan_coordinate"])
+def test_off_rejects_bad_counts_and_coordinates(text, message):
+    with pytest.raises(ValidationError, match=message):
+        read_off(text)
+
+
+def test_mesh_rejects_non_finite_input():
+    mesh = genus2_mesh()
+    verts = mesh.vertices.copy()
+    verts[7, 1] = np.inf
+    with pytest.raises(ValidationError, match="vertex coordinates must be finite"):
+        SurfaceMesh(verts, mesh.triangles)
+    weights = mesh.area_weights.copy()
+    weights[3] = np.nan
+    with pytest.raises(ValidationError, match="area weights must be finite"):
+        SurfaceMesh(mesh.vertices, mesh.triangles, weights)
 
 
 def test_morse_csv():
@@ -188,6 +215,8 @@ def test_morse_csv():
     assert np.allclose(f.values, mesh.vertices[:, 2])
     with pytest.raises(ValidationError):
         read_morse_csv("0,1.0", mesh.n_vertices)  # incomplete
+    with pytest.raises(ValidationError, match="Morse CSV repeats vertex 0"):
+        read_morse_csv("vertex_id,value\n" + rows + "\n0,5.5", mesh.n_vertices)
 
 
 # ---------------------------------------------------------------- classification
@@ -353,6 +382,27 @@ def test_source_edges_partition_upper_stars(seed):
         for e in out:
             assert e.source_edges and all(v in s for s in e.source_edges)
             assert list(e.source_edges) == sorted(e.source_edges)
+
+
+@pytest.mark.parametrize("mesh", [genus_chain_mesh(2), genus_chain_mesh(3), genus_chain_mesh(5),
+                                  genus_chain_mesh(8), genus_chain_mesh(12), genus2_mesh(6)],
+                         ids=["chain2", "chain3", "chain5", "chain8", "chain12", "genus2_m6"])
+def test_sweep_matches_set_based_reference(mesh):
+    rng = np.random.default_rng(mesh.n_vertices)
+    fields = [height_field(mesh)] + [random_morse_field(mesh, rng) for _ in range(4)]
+    for i, f in enumerate(fields):
+        graph, ref = build_reeb(mesh, f), reeb_sweep_oracle(mesh, f)
+        assert graph.nodes == ref.nodes
+        assert list(graph.edges) == list(ref.edges)
+        for e, r in zip(graph.edges.values(), ref.edges.values()):
+            assert (e.lo, e.hi, e.f_lo, e.f_hi) == (r.lo, r.hi, r.f_lo, r.f_hi)
+            assert e.source_edges == r.source_edges
+            levels = [c for c, _ in e.breakpoints]
+            assert set(levels) == {c for c, _ in r.breakpoints}
+            assert e.measure == pytest.approx(r.measure, abs=1e-10)
+            if i:
+                # no two vertex values tie: one breakpoint per level
+                assert all(c0 < c1 for c0, c1 in zip(levels, levels[1:]))
 
 
 def test_edge_measures_match_slab_areas(g2):
@@ -618,26 +668,35 @@ def test_theorem2_rejects_unnormalized_and_low_genus():
 
 # ---------------------------------------------------------------- importer
 
+def _importer_meshes(g2):
+    return g2[0], genus_chain_mesh(5, 16).normalized()
+
+
 def test_field_importer_accepts_commuting(g2):
-    mesh, _ = g2
-    graph = build_reeb(mesh, height_field(mesh), sample_field=lambda p: p[2] ** 2)
-    h = GraphHamiltonian.from_sampling(graph)
-    # exact at the sampled levels (between them the function is PL interpolation)
-    for eid, e in graph.edges.items():
-        cs, hs = h.breakpoints(eid)
-        assert np.allclose(hs, cs ** 2, atol=1e-9)
-    # a field that is PL in F is reproduced exactly everywhere
-    graph_lin = build_reeb(mesh, height_field(mesh), sample_field=lambda p: 2.0 * p[2] - 1.0)
-    h_lin = GraphHamiltonian.from_sampling(graph_lin)
-    for eid, e in graph_lin.edges.items():
-        for c in np.linspace(e.f_lo, e.f_hi, 5):
-            assert h_lin.value(eid, c) == pytest.approx(2.0 * c - 1.0, abs=1e-9)
+    phi = lambda c: c ** 2 - 0.3 * c
+    for mesh in _importer_meshes(g2):
+        f = height_field(mesh)
+        graph = build_reeb(mesh, f, sample_field=lambda p: phi(p[2]))
+        h = GraphHamiltonian.from_sampling(graph)
+        # exact at the sampled levels (between them the function is PL interpolation)
+        for eid, e in graph.edges.items():
+            cs, hs = h.breakpoints(eid)
+            assert np.allclose(hs, phi(cs), atol=1e-9)
+        # the sampled levels are the density breakpoints that from_function reads
+        assert graph_integral(graph, h) == pytest.approx(
+            graph_integral(graph, GraphHamiltonian.from_function(graph, phi)), abs=1e-9)
+        # a field that is PL in F is reproduced exactly everywhere
+        graph_lin = build_reeb(mesh, f, sample_field=lambda p: 2.0 * p[2] - 1.0)
+        h_lin = GraphHamiltonian.from_sampling(graph_lin)
+        for eid, e in graph_lin.edges.items():
+            for c in np.linspace(e.f_lo, e.f_hi, 5):
+                assert h_lin.value(eid, c) == pytest.approx(2.0 * c - 1.0, abs=1e-9)
 
 
 def test_field_importer_rejects_non_commuting(g2):
-    mesh, _ = g2
-    with pytest.raises(ValidationError):
-        build_reeb(mesh, height_field(mesh), sample_field=lambda p: p[0])
+    for mesh in _importer_meshes(g2):
+        with pytest.raises(ValidationError, match="does not commute"):
+            build_reeb(mesh, height_field(mesh), sample_field=lambda p: p[0])
 
 
 def test_from_sampling_requires_sampled_graph(g2):
