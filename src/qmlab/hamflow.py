@@ -21,12 +21,17 @@ exact integrals, from which ``calabi`` integrates each term in one pass.
 Each Newton iterate of the midpoint step evaluates one jet: the velocity,
 and the linearization with it (order 2) whenever something may read that,
 which is every iterate when tangents are transported.  A tangent-free step
-evaluates the velocity alone at the iterate that Newton's quadratic rate
-predicts to converge, and the linearization at the same midpoint only if it
-does not (``FlowMap._step``); the gradient's bits do not depend on the
-order, so no output does.  Newton stops each row on its own residual and
-starts it from its own velocity history (``FlowMap.evolve``), so a row's
-trajectory does not depend on the rest of its batch.  The jet builds its
+evaluates the velocity alone at the iterate forecast to converge (the
+first, when the history step before converged there; else the one that
+Newton's quadratic rate predicts), and the linearization at the same
+midpoint only if it does not (``FlowMap._step``); the gradient's bits do
+not depend on the order, so no output does.  Newton stops each row on its
+own residual and starts it from a rotation forecast of its own velocity
+history (``FlowMap.evolve``), so a row's trajectory does not depend on the
+rest of its batch.  The midpoint rule keeps every quadratic first
+integral, so under a rotation-invariant field each step multiplies a
+row's complex coordinates, and its velocity, by the same factor, and the
+forecast starts Newton on the converged point.  The jet builds its
 (N, d, d) Hessian batch-last, in (d, d, N) memory (``_batch_last``, or
 ``_batched`` of an entry-major array), one whole entry per op, for C- and
 F-ordered points alike: the midpoint loop keeps points, velocities, Newton
@@ -903,6 +908,68 @@ def _apply_j(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _VelocityHistory:
+    """A period's converged midpoint velocities of the live rows, as complex coordinates.
+
+    With m = d / 2 and J0 multiplication by i, a velocity v (d, n) is
+    c = v[:m] + i v[m:] (m, n).  The history keeps the last four, c_4 ...
+    c_1 oldest first, and the last three ratios q_k = c_k / c_{k-1}; the
+    ratio of a pushed velocity is taken by the next ``guess``, under the
+    same error state as the forecast (one block per step).
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.velocities = deque(maxlen=4)
+        self.ratios = deque(maxlen=3)
+        self._unread = False  # the last pushed velocity has no ratio yet
+
+    def clear(self):
+        self.velocities.clear()
+        self.ratios.clear()
+        self._unread = False
+
+    def push(self, vel: np.ndarray):
+        c = vel[:self.m].astype(complex)
+        c.imag = vel[self.m:]
+        self.velocities.append(c)
+        self._unread = len(self.velocities) > 1
+
+    def guess(self, x: np.ndarray, h: float):
+        """Newton's start x + h c_1 Q, with Q = 3 q_1 - 3 q_2 + q_3; None before four velocities.
+
+        Each coordinate of each row extrapolates its own ratios.  Where Q
+        is not finite (a zero velocity), |Q - 1| >= 1 or |Q - q_1| >
+        |q_1 - 1|, the coordinate takes the cubic 4 c_1 - 6 c_2 + 4 c_3 -
+        c_4 instead.
+        """
+        cs, qs = self.velocities, self.ratios
+        if len(cs) < 2:
+            return None
+        with np.errstate(all="ignore"):
+            if self._unread:
+                qs.append(cs[-1] / cs[-2])
+                self._unread = False
+            if len(qs) < 3:
+                return None
+            q3, q2, q1 = qs
+            forecast = q1 - q2
+            forecast *= 3.0
+            forecast += q3
+            ok = np.abs(forecast - 1.0) < 1.0
+            # a jump in the field breaks the ratios' trend: the extrapolation may move
+            # the last ratio by no more than that ratio turns in a step
+            ok &= np.abs(forecast - q1) <= np.abs(q1 - 1.0)
+            c4, c3, c2, c1 = cs
+            g = c1 * forecast
+        if not ok.all():
+            g = np.where(ok, g, 4.0 * (c1 + c3) - 6.0 * c2 - c4)
+        guess = np.concatenate((g.real, g.imag))
+        guess *= h
+        guess += x
+        return guess
+
+
 class FlowMap:
     """Implicit-midpoint evolution of a scenario, vectorized over points.
 
@@ -945,11 +1012,12 @@ class FlowMap:
             vel = vel / rho
         return _apply_j(vel), None if lin is None else _apply_j(lin)
 
-    def _step(self, x, guess, t_mid, tol, linearize, rate):
+    def _step(self, x, guess, t_mid, tol, linearize, rate, first_one=False):
         """One midpoint step of entry-major points x (d, n).
 
         Returns the new points, the midpoint velocity, DX_H there (None
-        when only the velocity was evaluated) and the latest Newton rate.
+        when only the velocity was evaluated), the latest Newton rate and
+        the number of Newton solves.
 
         Newton starts from ``guess``, or from the jet predictor x + h X_H(x)
         when it is None.  Each row stops on its own residual, below its own
@@ -960,8 +1028,10 @@ class FlowMap:
         An iterate evaluates the linearization with the velocity (an order-2
         jet) when something may read it: its own Newton solve, or, with
         ``linearize``, the Cayley tangent step at the converged iterate.
-        Without ``linearize``, the iterate that Newton's quadratic rate
-        predicts to converge takes the velocity alone.  With r_k the largest
+        Without ``linearize``, the iterate forecast to converge takes the
+        velocity alone.  The first iterate is forecast by ``first_one``
+        (the caller's: the previous history step converged there).  A later
+        one is forecast by Newton's quadratic rate: with r_k the largest
         residual of iterate k in units of its row's ``tol``, that is the
         iterate with rate * r_{k-1}^2 < 1, where ``rate`` is the latest
         r_k / r_{k-1}^2: from this step once it has two residuals, from an
@@ -977,7 +1047,7 @@ class FlowMap:
         for it in range(NEWTON_MAX_ITER):
             mid = 0.5 * (x + w)
             # products, not powers: a float power raises OverflowError when Newton diverges
-            last_one = not linearize and last is not None and rate * last * last < 1.0
+            last_one = not linearize and (first_one if last is None else rate * last * last < 1.0)
             vel, a_mid = self._field_jet(mid, t_mid, 1 if last_one else 2)
             resid = w - x - h * vel
             err = np.abs(resid).max(axis=0) / tol
@@ -986,7 +1056,7 @@ class FlowMap:
                 rate = r / (last * last)
             if r < 1.0:
                 self.max_newton_iters = max(self.max_newton_iters, it)
-                return w, vel, a_mid, rate
+                return w, vel, a_mid, rate, it
             if a_mid is None:
                 a_mid = self._field_jet(mid, t_mid, 2)[1]
             w = np.where(err < 1.0, w, w - _solve_batch(self._eye - (0.5 * h) * a_mid, resid))
@@ -1003,17 +1073,29 @@ class FlowMap:
 
         Newton stops each row at NEWTON_TOL (1 + max |x_row|), from the
         row's start point x_row.  Within a period, a step starts Newton
-        from the row's last four converged midpoint velocities,
-        x + h (4 v_1 - 6 v_2 + 4 v_3 - v_4) with v_1 the latest, a cubic
-        extrapolation; the first four steps of a period start from the jet
+        from a rotation forecast of the row's last four converged midpoint
+        velocities (``_VelocityHistory``).  Per complex coordinate
+        c = v[:m] + i v[m:] (J0 is multiplication by i), it extrapolates
+        the ratios q_k = c_k / c_{k-1} to Q = 3 q_1 - 3 q_2 + q_3 and starts
+        from x + h c_1 Q, with c_1 the latest.  The midpoint rule keeps
+        |z|^2 under a radial field (it keeps every quadratic first
+        integral), so each step rotates z by a constant factor lambda(|z|),
+        every ratio is lambda, and the forecast is the converged point up
+        to rounding.  Where Q is not finite (a zero velocity), |Q - 1| >= 1,
+        or the extrapolation moves q_1 by more than |q_1 - 1| (a jump in the
+        field), the coordinate takes the cubic x + h (4 c_1 - 6 c_2 + 4 c_3
+        - c_4).  The first four steps of a period start from the jet
         predictor.  So every output row depends only on its own start
         point, not on the rest of the batch, and ``evolve(pts, p)`` equals
         p calls of ``evolve(pts, 1)`` bit for bit.
 
         With a tangent, every Newton iterate evaluates the field's Hessian,
         and the Cayley step reads the converged one; without, the iterate
-        predicted to converge skips it (``_step``).  Points and hook
-        arguments are the same bits either way.
+        forecast to converge skips it (``_step``): a history step's first
+        iterate when the history step before converged at its first, which
+        is read across period boundaries (the first history step of a
+        period forecasts from the last of the period before).  Points and
+        hook arguments are the same bits either way.
 
         Only the rows that the field's ``frozen`` mask leaves are stepped.
         A frozen row keeps its point (mid = new = start), has velocity 0
@@ -1044,7 +1126,8 @@ class FlowMap:
         stepped = not frozen.all()
         total = periods * self.steps_per_period
         h, rate = self.h, math.inf
-        history = deque(maxlen=4)  # the live rows' converged midpoint velocities, oldest first
+        history = _VelocityHistory(self.sc.dim // 2)
+        first_one = False  # the last history step converged at its first iterate
         for step in range(total):
             j = step % self.steps_per_period
             t_mid = self.t_mids[j]
@@ -1055,17 +1138,17 @@ class FlowMap:
                     history.clear()
                 x = rows(cur)
                 tol = NEWTON_TOL * (1.0 + np.abs(x).max(axis=0))
-                guess = None
-                if len(history) == 4:
-                    v4, v3, v2, v1 = history
-                    guess = x + h * (4.0 * (v1 + v3) - 6.0 * v2 - v4)
+                guess = history.guess(x, h)
                 try:
-                    new, vel, a_mid, rate = self._step(x, guess, t_mid, tol,
-                                                       tangent is not None, rate)
+                    new, vel, a_mid, rate, solves = self._step(
+                        x, guess, t_mid, tol, tangent is not None, rate,
+                        guess is not None and first_one)
                 except IntegrationError as exc:
                     raise IntegrationError(
                         step, f"integrator failed at step {step}: {exc}") from exc
-                history.append(vel)
+                if guess is not None:
+                    first_one = solves == 0
+                history.push(vel)
                 if tangent is not None:
                     moved = self._cayley(a_mid, rows(tangent))
                     tangent = moved if live is None else merge(tangent, moved)
@@ -1214,8 +1297,13 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=8)
 def _ball_nodes(dim: int, rule: QuadratureRule, radius: float):
-    """Nodes and euclidean (Lebesgue) weights of the rule on the ball of ``radius``."""
+    """Nodes and euclidean (Lebesgue) weights of the rule on the ball of ``radius``, read-only.
+
+    Building them costs more than a Calabi sum over them, so the last few
+    (dim, rule, radius) keys are kept.
+    """
     if dim == 2:
         u, wu = _unit_gauss_legendre(rule.n_r)
         r = radius * u
@@ -1224,14 +1312,16 @@ def _ball_nodes(dim: int, rule: QuadratureRule, radius: float):
         rr, aa = np.meshgrid(r, ang, indexing="ij")
         pts = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
         w = np.repeat(wr * r, rule.n_angle) * (2.0 * np.pi / rule.n_angle)
-        return pts, w
-    u, wu = _unit_gauss_legendre(rule.n_axis)
-    side = 2.0 * radius  # the cube [-radius, radius]^dim
-    grids = np.meshgrid(*[side * u - radius] * dim, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    w = functools.reduce(np.multiply.outer, [side * wu] * dim).ravel()
-    keep = np.linalg.norm(pts, axis=1) <= radius
-    return pts[keep], w[keep]
+    else:
+        u, wu = _unit_gauss_legendre(rule.n_axis)
+        side = 2.0 * radius  # the cube [-radius, radius]^dim
+        grids = np.meshgrid(*[side * u - radius] * dim, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        w = functools.reduce(np.multiply.outer, [side * wu] * dim).ravel()
+        keep = np.linalg.norm(pts, axis=1) <= radius
+        pts, w = pts[keep], w[keep]
+    pts.flags.writeable = w.flags.writeable = False
+    return pts, w
 
 
 def _calabi_terms(sc: HamiltonianScenario, *, quadrature: QuadratureRule | None = None) -> list:

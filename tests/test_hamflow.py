@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from _oracles import (lambda_form_calabi, newton_reference_evolve, radial_calabi_4d_oracle,
                       radial_calabi_oracle, radial_tau_oracle)
 import qmlab
+from qmlab import hamflow
 from qmlab.errors import ValidationError
 from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap,
                            HamiltonianScenario, HyperbolicForm, PolyBumpField,
@@ -532,6 +534,17 @@ def test_unit_gauss_legendre_is_cached_and_read_only():
             arr[0] = 0.5
 
 
+def test_ball_nodes_are_cached_and_read_only():
+    from qmlab.hamflow import _ball_nodes
+    for dim, rule in ((2, QuadratureRule(n_r=8, n_angle=12)), (4, QuadratureRule(n_axis=6))):
+        pts, weights = _ball_nodes(dim, rule, 0.7)
+        assert _ball_nodes(dim, rule, 0.7)[0] is pts and len(pts) == len(weights)
+        assert np.all(np.linalg.norm(pts, axis=1) <= 0.7)
+        for arr in (pts, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
 # ---------------------------------------------------------------- theorem 3
 
 def test_s_restriction_is_tau_plus_s_calabi():
@@ -718,22 +731,35 @@ def test_tangent_free_evolve_matches_tangent_evolve(kind, form):
     _assert_tangent_free_run_is_the_tangent_run(sc, pts)
 
 
-def _step_jets(sc, pts, tangent):
-    """evolve over one period, returning each step's field jets as [(order, points), ...]."""
+def _step_jets(sc, pts, tangent, periods=1):
+    """evolve over whole periods, returning each step's field jets and its Newton solves.
+
+    A step's jets are [(order, points), ...] in call order; its Newton
+    solves count the ``_solve_batch`` calls with one right-hand side per row
+    (the Cayley step's (d, k, n) solve is not one).
+    """
     engine = FlowMap(sc)
-    jets, steps = [], []
-    field_jet = engine._field_jet
+    jets, solves, steps = [], [], []
+    field_jet, solve_batch = engine._field_jet, hamflow._solve_batch
 
     def recorded(x, t, order):
         jets.append((order, x.copy()))
         return field_jet(x, t, order)
 
+    def counted(mats, rhs):
+        if rhs.ndim == 2:
+            solves.append(rhs.shape)
+        return solve_batch(mats, rhs)
+
     def hook(*args):
-        steps.append(list(jets))
+        steps.append((list(jets), len(solves)))
         jets.clear()
+        solves.clear()
 
     engine._field_jet = recorded
-    engine.evolve(pts, tangent=tangent, step_hook=hook)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamflow, "_solve_batch", counted)
+        engine.evolve(pts, periods=periods, tangent=tangent, step_hook=hook)
     return steps
 
 
@@ -742,54 +768,160 @@ def _step_jets(sc, pts, tangent):
 def test_tangent_free_radial_step_skips_the_last_hessian(form, n):
     """A radial step makes one order-2 jet fewer without tangents than with them.
 
-    The first four steps of a period start from the jet predictor (order 1),
-    the others from the velocity history (no jet).  Without tangents the
-    converged iterate evaluates the velocity alone; the tangent run
-    evaluates the same midpoints with the Hessian.  From the second history
-    step on, the rate carried over from the step before forecasts that
-    iterate even when Newton converges after one solve.
+    The first four steps of a period start from the jet predictor (order 1)
+    and forecast their converged iterate by Newton's rate.  The others
+    start from the velocity history's rotation forecast, which a radial
+    field makes exact: Newton converges at the first iterate and makes no
+    solve.  The tangent run evaluates that iterate with the Hessian, for
+    the Cayley step.  Without tangents it takes the velocity alone once the
+    history step before converged there, so from the second history step
+    of the run on, across the period boundary: the first period keeps one
+    order-2 history jet, the second none.
     """
     sc = radial_scenario(dt=0.01, r_supp=0.8, ball=0.9, form=form)
     pts = form.sample_ball(0.75, 2, n, np.random.default_rng(47))
-    free = _step_jets(sc, pts, None)
-    with_tangent = _step_jets(sc, pts, np.eye(2))
-    assert len(free) == len(with_tangent) == 100
-    for step, (jets, ref) in enumerate(zip(free, with_tangent)):
-        predictor = [1] if step < 4 else []
-        iterates = len(ref) - len(predictor)
-        assert iterates >= (2 if step < 4 else 1)
-        assert [order for order, _ in ref] == predictor + [2] * iterates
-        expected = predictor + [2] * (iterates - 1) + [1]
-        if step == 4:  # the rate comes from a predictor step, which may not forecast it
-            expected[-1] = jets[-1][0]
-        assert [order for order, _ in jets] == expected
+    free = _step_jets(sc, pts, None, periods=2)
+    with_tangent = _step_jets(sc, pts, np.eye(2), periods=2)
+    assert len(free) == len(with_tangent) == 200
+    history_jets = {(period, order): 0 for period in (0, 1) for order in (1, 2)}
+    for step, ((jets, solves), (ref, ref_solves)) in enumerate(zip(free, with_tangent)):
+        orders = [order for order, _ in jets]
+        if step % 100 < 4:
+            iterates = len(ref) - 1
+            assert iterates >= 2 and solves == ref_solves == iterates - 1
+            assert [order for order, _ in ref] == [1] + [2] * iterates
+            assert orders == [1] + [2] * (iterates - 1) + [1]
+        else:
+            assert solves == ref_solves == 0 and [order for order, _ in ref] == [2]
+            assert len(orders) == 1
+            history_jets[step // 100, orders[0]] += 1
         for (_, x), (_, ref_x) in zip(jets, ref):
             assert np.array_equal(x, ref_x)
+    assert history_jets == {(0, 1): 95, (0, 2): 1, (1, 1): 96, (1, 2): 0}
 
 
 def test_mispredicted_last_iterate_falls_back_to_the_hessian():
     """An order-1 iterate that does not converge takes the Hessian at the same midpoint.
 
-    One row on the standard bump mispredicts on some history step: the rate
-    carried over from the step before forecasts convergence after the first
-    solve, and it takes a second.  The outputs still equal the tangent
-    run's, bit for bit.
+    A history step's first iterate takes the velocity alone exactly when
+    the history step before converged at its first iterate.  One row of the
+    radial-then-bump concatenation mispredicts both ways: at t = 1/2 the
+    field changes, so the first step after the change misses at its first
+    iterate; and on some step the rate carried over forecasts convergence
+    after the first solve, and it takes a second.  The outputs still equal
+    the tangent run's, bit for bit.
     """
-    f = _JET_CASES["bump"][0]
+    f = _JET_CASES["concat"][0]
     sc = HamiltonianScenario(field=f, ball_radius=f.support_radius + 0.2,
                              support_radius=f.support_radius + 1e-9, dt=0.01)
-    pts = StandardForm().sample_ball(0.97 * sc.ball_radius, 2, 1, np.random.default_rng(44))
-    fallbacks = 0
-    for step, jets in enumerate(_step_jets(sc, pts, None)):
-        # a step's first jet is the predictor or an order-2 iterate, its last the converged
-        # iterate; any order-1 jet in between is a fallback
-        assert step < 4 or jets[0][0] == 2
-        for (order, x), (next_order, next_x) in zip(jets[1:-1], jets[2:]):
-            if order == 1:
+    pts = StandardForm().sample_ball(0.97 * sc.ball_radius, 2, 1, np.random.default_rng(59))
+    fallbacks = {"first": 0, "later": 0}
+    first_one = False
+    for step, (jets, solves) in enumerate(_step_jets(sc, pts, None)):
+        # a predictor step's first jet is the predictor; then come the iterates, each of
+        # one jet, or of an order-1 jet and the fallback at its midpoint
+        iterates = jets[1:] if step < 4 else jets
+        assert step < 4 or iterates[0][0] == (1 if first_one else 2)
+        k = midpoints = 0
+        while k < len(iterates):
+            order, x = iterates[k]
+            if order == 1 and k < len(iterates) - 1:
+                next_order, next_x = iterates[k + 1]
                 assert next_order == 2 and np.array_equal(x, next_x)
-                fallbacks += 1
-    assert fallbacks >= 1
+                fallbacks["first" if midpoints == 0 else "later"] += 1
+                k += 1
+            k += 1
+            midpoints += 1
+        assert solves == midpoints - 1
+        if step >= 4:
+            first_one = solves == 0
+    assert fallbacks["first"] >= 1 and fallbacks["later"] >= 1
     _assert_tangent_free_run_is_the_tangent_run(sc, pts)
+
+
+def _recorded_steps(sc, pts, periods=1):
+    """evolve with warnings as errors, keeping each step's (x, Newton start, tol, t_mid, result).
+
+    The Newton start is None on a jet-predictor step; the result is what
+    ``FlowMap._step`` returned.
+    """
+    engine = FlowMap(sc)
+    records = []
+    step = engine._step
+
+    def recorded(x, guess, t_mid, tol, *args):
+        out = step(x, guess, t_mid, tol, *args)
+        records.append((x, guess, tol, t_mid, out))
+        return out
+
+    engine._step = recorded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = engine.evolve(pts, periods=periods)
+    return engine, out, records
+
+
+def _radial_4d_scenario():
+    f = _JET_CASES["radial_4d"][0]
+    return HamiltonianScenario(field=f, ball_radius=f.support_radius + 0.2,
+                               support_radius=f.support_radius + 1e-9, dt=0.01)
+
+
+_ROTATION_CASES = {
+    # a rotation-invariant scenario and rows whose velocity has a zero coordinate
+    "standard": (radial_scenario(dt=0.01, r_supp=0.8, ball=0.9), [[0.0, 0.0]]),
+    "hyperbolic": (radial_scenario(dt=0.01, r_supp=0.8, ball=0.9, form=HyperbolicForm()),
+                   [[0.0, 0.0]]),
+    "radial_4d": (_radial_4d_scenario(), [[0.0, 0.0, 0.0, 0.0], [0.3, 0.0, -0.2, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROTATION_CASES))
+def test_rotation_forecast_is_exact_on_rotation_invariant_fields(case):
+    """Every history guess of every live row is within its Newton stop of the converged point.
+
+    The midpoint rule keeps |z|^2 of a radial field, so each step rotates
+    a row's complex coordinates by a constant factor and the velocity
+    ratio forecast is exact.  A zero velocity coordinate (the origin, or a
+    4-d row with one complex coordinate 0) has the ratio 0/0 and takes the
+    cubic, which is 0 there too; no warning is raised.
+    """
+    sc, zero_rows = _ROTATION_CASES[case]
+    pts = np.concatenate([zero_rows, sc.form.sample_ball(0.97 * sc.support_radius, sc.dim, 30,
+                                                          np.random.default_rng(71))])
+    assert not sc.field.frozen(pts).any()
+    engine, out, records = _recorded_steps(sc, pts, periods=2)
+    assert np.array_equal(out[0], pts[0])
+    history = [r for r in records if r[1] is not None]
+    assert len(history) == 2 * (engine.steps_per_period - 4)
+    for x, guess, tol, t_mid, (w, _, _, _, solves) in history:
+        vel = engine._field_jet(0.5 * (x + guess), t_mid, 1)[0]
+        assert (np.abs(guess - x - engine.h * vel).max(axis=0) < tol).all()
+        assert solves == 0 and np.array_equal(w, guess)
+
+
+def test_rotation_forecast_takes_the_cubic_where_a_velocity_jumps_from_zero():
+    """A row outside the first part's support has velocity 0 until t = 1/2, then rotates.
+
+    While its history holds a zero velocity, a ratio is 0/0 or c/0 and the
+    guess is the cubic extrapolation of the velocities; the run completes
+    without a warning.
+    """
+    f = ConcatField(BumpField(0.8, [0.4, 0.0], 0.3), RadialField([1.0], support_radius=0.5))
+    sc = HamiltonianScenario(field=f, ball_radius=1.2, support_radius=f.support_radius + 1e-9,
+                             dt=0.01)
+    pts = np.array([[-0.2, 0.1]])
+    assert f.first.frozen(pts).all() and not f.frozen(pts).any()
+    engine, out, records = _recorded_steps(sc, pts)
+    vels = [out_step[1] for *_, out_step in records]
+    jump = next(k for k, v in enumerate(vels) if v.any())
+    assert jump == engine.steps_per_period // 2 and not np.any(vels[:jump])
+    for k in range(jump, jump + 4):
+        x, guess = records[k][:2]
+        v4, v3, v2, v1 = vels[k - 4:k]
+        cubic = x + engine.h * (4.0 * (v1 + v3) - 6.0 * v2 - v4)
+        assert np.allclose(guess, cubic, rtol=0.0, atol=1e-15)
+    assert np.isfinite(out).all() and np.linalg.norm(out) > 0.0
 
 
 @pytest.mark.parametrize("tangent", [False, True], ids=["points", "tangents"])
