@@ -69,6 +69,7 @@ TOL_FLOW = 1e-6          # symplecticity drift cap on accepted Jacobian paths
 # Per-step det^2 turn cap during online winding: a check that dt is small enough,
 # stricter than the half-turn contract of symplectic.winding and phi_lag.
 ALIAS_GUARD = 0.4
+TIME_MEMO_SIZE = 4096    # a(t) values a SeparableField keeps; a period at dt = 1e-3 takes 1000
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +347,7 @@ class SeparableField(HamiltonianField):
 
     def __init__(self, time: TimeProfile | None = None):
         self.time = time if time is not None else TimeProfile()
-        self._last_time_factor = (None, None, 0.0)  # (profile, t, a(t))
+        self._time_memo = (None, {})  # (profile, {t: a(t)})
 
     @abstractmethod
     def spatial_value(self, pts): ...
@@ -356,20 +357,39 @@ class SeparableField(HamiltonianField):
         """(grad, hess) of the spatial factor; hess is None for order 1."""
 
     def _time_factor(self, t) -> float:
-        """a(t), kept for the last t asked: every jet and hook of one step share t_mid."""
-        time, last_t, amp = self._last_time_factor
-        if time is not self.time or last_t != t:
-            amp = float(self.time(t))
-            self._last_time_factor = (self.time, t, amp)
+        """a(t), memoized per t: a period's steps revisit the same steps_per_period t_mids.
+
+        The memo belongs to the profile it was filled from, so a replaced
+        ``time`` starts a new one, and it is emptied when it reaches
+        TIME_MEMO_SIZE entries.
+        """
+        profile, memo = self._time_memo
+        if profile is not self.time:
+            profile, memo = self.time, {}
+            self._time_memo = (profile, memo)
+        amp = memo.get(t)
+        if amp is None:
+            if len(memo) >= TIME_MEMO_SIZE:
+                memo.clear()
+            amp = memo[t] = float(profile(t))
         return amp
 
     def value(self, pts, t):
-        return self._time_factor(t) * self.spatial_value(pts)
+        amp = self._time_factor(t)
+        spatial = self.spatial_value(pts)
+        return spatial if amp == 1.0 else amp * spatial
 
     def jet(self, pts, t, order=1):
+        """The spatial jet times a(t).
+
+        At a(t) = 1.0, every autonomous field's, the spatial arrays are
+        returned as they are: the product would be exact (``value`` alike).
+        """
         amp = self._time_factor(t)
         # batch-last points, so that the Hessian's entries are built contiguous
         g, hs = self.spatial_jet(pts if order < 2 else np.asfortranarray(pts), order)
+        if amp == 1.0:
+            return g, hs
         return amp * g, None if hs is None else amp * hs
 
     grad = HamiltonianField.grad
@@ -380,9 +400,16 @@ class SeparableField(HamiltonianField):
 
 
 def _horner(coef: tuple, x):
-    """sum_k coef[k] x^k in the operation order of numpy's ``polyval``."""
-    acc = coef[-1] + 0.0 * x
-    for c in coef[-2::-1]:
+    """sum_k coef[k] x^k, bit for bit numpy's ``polyval(coef[::-1], x)``.
+
+    ``polyval`` starts from 0 * x + coef[-1], which is coef[-1] exactly at a
+    finite x, so starting from coef[-2] + coef[-1] x rounds as it does with
+    two ops fewer; a constant keeps its 0 * x, which gives the array shape.
+    """
+    if len(coef) == 1:
+        return coef[0] + 0.0 * x
+    acc = coef[-2] + coef[-1] * x
+    for c in coef[-3::-1]:
         acc = c + acc * x
     return acc
 
@@ -403,8 +430,12 @@ class RadialField(SeparableField):
         cutoff = Polynomial([1.0, -1.0 / s0]) ** self.bump_power
         h = Polynomial(list(self.profile)) * cutoff
         dh = h.deriv()
-        # coefficients of h, h' and h'' in s = r^2, evaluated by _horner
-        self._h, self._dh, self._d2h = (tuple(p.coef) for p in (h, dh, dh.deriv()))
+        # coefficients in s = r^2 of h, 2 h' and 4 h'', evaluated by _horner: grad H = 2 h' z
+        # and the Hessian takes 4 h'' z z^T; a power-of-two scale is exact, so the folded
+        # factors round as the products of the unscaled polynomials did
+        self._h = tuple(h.coef)
+        self._dh2 = tuple(2.0 * dh.coef)
+        self._d2h4 = tuple(4.0 * dh.deriv().coef)
 
     def spatial_value(self, pts):
         s = _sq_norms(pts)
@@ -413,11 +444,11 @@ class RadialField(SeparableField):
     def spatial_jet(self, pts, order=1):
         s = _sq_norms(pts)
         inside = s < self.support_radius ** 2
-        c1 = np.where(inside, 2.0 * _horner(self._dh, s), 0.0)
+        c1 = np.where(inside, _horner(self._dh2, s), 0.0)
         grad = c1[:, None] * pts
         if order < 2:
             return grad, None
-        c2 = np.where(inside, 4.0 * _horner(self._d2h, s), 0.0)
+        c2 = np.where(inside, _horner(self._d2h4, s), 0.0)
         x = pts.T
         hess = (c2 * x)[:, None] * x[None]  # entry [i, j] = (c2 x_i) x_j
         for i in range(self.dim):
@@ -428,7 +459,7 @@ class RadialField(SeparableField):
         """Omega(r) = 2 a(t) h'(r^2) / rho(r): the exact rotation rate (2-d)."""
         r = np.asarray(r, dtype=float)
         s = r ** 2
-        omega = (np.where(s < self.support_radius ** 2, 2.0 * _horner(self._dh, s), 0.0)
+        omega = (np.where(s < self.support_radius ** 2, _horner(self._dh2, s), 0.0)
                  * float(self.time(t)))
         if form is not None and form.kind != "standard":
             pts = np.stack([r, np.zeros_like(r)], axis=-1).reshape(-1, 2)
@@ -1123,6 +1154,8 @@ class FlowMap:
             out[..., live] = part
             return out
 
+        zeros = np.zeros_like(cur)  # the frozen rows' velocity, copied by ``merge``
+
         stepped = not frozen.all()
         total = periods * self.steps_per_period
         h, rate = self.h, math.inf
@@ -1153,7 +1186,7 @@ class FlowMap:
                     moved = self._cayley(a_mid, rows(tangent))
                     tangent = moved if live is None else merge(tangent, moved)
                 if live is not None:
-                    new, vel = merge(cur, new), merge(np.zeros_like(cur), vel)
+                    new, vel = merge(cur, new), merge(zeros, vel)
             if step_hook is not None:
                 step_hook(step, t_mid, (0.5 * (cur + new)).T, vel.T, new.T,
                           None if tangent is None else _batched(tangent))
@@ -1297,20 +1330,22 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=8)
 def _ball_nodes(dim: int, rule: QuadratureRule, radius: float):
-    """Nodes and euclidean (Lebesgue) weights of the rule on the ball of ``radius``, read-only.
+    """Nodes and euclidean (Lebesgue) weights of the rule on the ball of ``radius``.
 
-    Building them costs more than a Calabi sum over them, so the last few
-    (dim, rule, radius) keys are kept.
+    The polar nodes are outer products of the radii with the cosines and
+    sines of the n_angle angles, written straight into the node array: the
+    trigonometry runs once per angle, not once per node.
     """
     if dim == 2:
         u, wu = _unit_gauss_legendre(rule.n_r)
         r = radius * u
         wr = radius * wu
         ang = 2.0 * np.pi * np.arange(rule.n_angle) / rule.n_angle
-        rr, aa = np.meshgrid(r, ang, indexing="ij")
-        pts = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
+        pts = np.empty((rule.n_r, rule.n_angle, 2))
+        np.multiply.outer(r, np.cos(ang), out=pts[..., 0])
+        np.multiply.outer(r, np.sin(ang), out=pts[..., 1])
+        pts = pts.reshape(-1, 2)
         w = np.repeat(wr * r, rule.n_angle) * (2.0 * np.pi / rule.n_angle)
     else:
         u, wu = _unit_gauss_legendre(rule.n_axis)
@@ -1320,7 +1355,6 @@ def _ball_nodes(dim: int, rule: QuadratureRule, radius: float):
         w = functools.reduce(np.multiply.outer, [side * wu] * dim).ravel()
         keep = np.linalg.norm(pts, axis=1) <= radius
         pts, w = pts[keep], w[keep]
-    pts.flags.writeable = w.flags.writeable = False
     return pts, w
 
 

@@ -25,13 +25,14 @@ Gauss-Legendre rule of the integrals here is ``hamflow``'s as well.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NumericalError, RefinePathError, ValidationError, convert,
                      period_count)
-from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _calabi_terms,
+from .hamflow import (FlowMap, HamiltonianScenario, HyperbolicForm, _calabi_terms, _sq_norms,
                       _unit_gauss_legendre, scenario_from_json, scenario_to_json)
 
 DISK_EDGE = 1.0 - 1e-12
@@ -128,8 +129,7 @@ def transport_rate_points(pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
     with curvature -1).
     """
     imag_part = pts[:, 0] * vel[:, 1] - pts[:, 1] * vel[:, 0]
-    r2 = np.sum(pts ** 2, axis=1)
-    return -2.0 * imag_part / (1.0 - r2)
+    return -2.0 * imag_part / (1.0 - _sq_norms(pts))
 
 
 @dataclass(frozen=True)
@@ -232,6 +232,9 @@ class _LiftState:
 
     The fiber-angle increment ``dpsi`` does not depend on the direction, so one
     per point fixes the boundary turns at every fiber angle (``_fiber_range``).
+    ``max_radius`` is the largest |z| of the start and every step's points;
+    the hook tracks the largest |z|^2 and one square root follows the run
+    (the root is monotone and correctly rounded, so it is the largest norm).
     """
 
     def __init__(self, iso: DiskIsotopy, pts: np.ndarray, p: int, keep_trace: bool = False):
@@ -240,10 +243,11 @@ class _LiftState:
         # c(t) at each step of a period, once: the hook reads it by step
         self.c_mids = [iso.mean_zero_constant(t) for t in self.engine.t_mids]
         self.dpsi = np.zeros(pts.shape[0])
-        self.max_radius = float(np.max(np.linalg.norm(pts, axis=1)))
+        self._max_sq = float(np.max(_sq_norms(pts)))
         # (t, points, fiber increment) at every step
         self.trace = [(0.0, pts.copy(), self.dpsi.copy())] if keep_trace else None
         out = self.engine.evolve(pts, periods=p, step_hook=self.hook)
+        self.max_radius = math.sqrt(self._max_sq)
         if self.max_radius >= iso.chart_radius * (1.0 + 1e-9):
             raise NumericalError("a trajectory left the disk U (support violation)")
         self.z0 = pts[:, 0] + 1j * pts[:, 1]
@@ -256,7 +260,7 @@ class _LiftState:
         h_tilde = (self.iso.scenario.field.value(mid, t_mid)
                    + self.c_mids[step % self.engine.steps_per_period])
         self.dpsi += h * (rate - 2.0 * np.pi * h_tilde)
-        self.max_radius = max(self.max_radius, float(np.max(np.linalg.norm(new, axis=1))))
+        self._max_sq = max(self._max_sq, float(_sq_norms(new).max()))
         if self.trace is not None:
             self.trace.append(((step + 1) * h, new.copy(), self.dpsi.copy()))
 

@@ -534,15 +534,22 @@ def test_unit_gauss_legendre_is_cached_and_read_only():
             arr[0] = 0.5
 
 
-def test_ball_nodes_are_cached_and_read_only():
-    from qmlab.hamflow import _ball_nodes
+def test_ball_nodes_match_the_meshgrid_construction():
+    """The polar nodes from outer products are the (radius, angle) meshgrid's, bit for bit."""
+    from qmlab.hamflow import _ball_nodes, _unit_gauss_legendre
+    for rule in (QuadratureRule(n_r=8, n_angle=12), QuadratureRule()):
+        u, wu = _unit_gauss_legendre(rule.n_r)
+        r, wr = 0.7 * u, 0.7 * wu
+        ang = 2.0 * np.pi * np.arange(rule.n_angle) / rule.n_angle
+        rr, aa = np.meshgrid(r, ang, indexing="ij")
+        nodes = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
+        weights = np.repeat(wr * r, rule.n_angle) * (2.0 * np.pi / rule.n_angle)
+        pts, w = _ball_nodes(2, rule, 0.7)
+        assert pts.tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
     for dim, rule in ((2, QuadratureRule(n_r=8, n_angle=12)), (4, QuadratureRule(n_axis=6))):
         pts, weights = _ball_nodes(dim, rule, 0.7)
-        assert _ball_nodes(dim, rule, 0.7)[0] is pts and len(pts) == len(weights)
+        assert len(pts) == len(weights)
         assert np.all(np.linalg.norm(pts, axis=1) <= 0.7)
-        for arr in (pts, weights):
-            with pytest.raises(ValueError):
-                arr[0] = 0.5
 
 
 # ---------------------------------------------------------------- theorem 3
@@ -605,6 +612,52 @@ def test_jet_matches_finite_differences(kind):
             assert np.allclose(fd, grad[:, axis], atol=tol_grad)
             fd2 = (f.jet(pts + e, t, 1)[0] - f.jet(pts - e, t, 1)[0]) / (2 * h)
             assert np.allclose(fd2, hess[:, :, axis], atol=tol_hess)
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_horner_is_polyval_bit_for_bit(length):
+    from qmlab.hamflow import _horner
+    rng = np.random.default_rng(length)
+    coef = tuple(rng.standard_normal(length))
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, 0.5, -2.5], rng.uniform(-3.0, 3.0, 200)])
+    assert _horner(coef, x).tobytes() == np.polyval(coef[::-1], x).tobytes()
+
+
+def test_time_factor_is_the_profile_value_memoized_per_t():
+    profile = TimeProfile(poly=(1.0, 0.2, -0.1), cos=((0.3, 1),), sin=((-0.2, 2),))
+    f = RadialField([1.0], support_radius=0.8, time=profile)
+    ts = [0.0, 0.005, 0.3, 1.0 / 3.0, 0.7, 0.995]
+    for _ in range(2):  # the second pass reads the memo
+        for t in ts:
+            assert f._time_factor(t).hex() == float(profile(t)).hex()
+    assert len(f._time_memo[1]) == len(ts)
+
+
+def test_time_factor_follows_a_replaced_profile():
+    f = RadialField([1.0], support_radius=0.8, time=TimeProfile(poly=(1.0, 0.5)))
+    pts = np.array([[0.3, 0.2]])
+    spatial = f.spatial_jet(pts, 1)[0]
+    assert np.array_equal(f.jet(pts, 0.4, 1)[0], 1.2 * spatial)
+    f.time = TimeProfile(poly=(2.0,))
+    assert f._time_factor(0.4) == 2.0
+    assert np.array_equal(f.jet(pts, 0.4, 1)[0], 2.0 * spatial)
+
+
+def test_time_memo_stays_bounded(monkeypatch):
+    """A period of 10,000 steps asks for more distinct t_mids than the memo keeps.
+
+    The flow does not depend on the memo: a memo of one entry gives the same bits.
+    """
+    def flow():
+        f = RadialField([1.0, -0.5], support_radius=0.8, time=TimeProfile(poly=(1.0, 0.3)))
+        sc = HamiltonianScenario(field=f, ball_radius=1.0, support_radius=0.8, dt=1e-4)
+        return f, integrate_flow(sc, [0.3, 0.2], 1.37)
+
+    f, x1 = flow()
+    assert 0 < len(f._time_memo[1]) <= hamflow.TIME_MEMO_SIZE
+    monkeypatch.setattr(hamflow, "TIME_MEMO_SIZE", 1)
+    g, x2 = flow()
+    assert len(g._time_memo[1]) == 1 and np.array_equal(x1, x2)
 
 
 _FROZEN_CASES = {kind: case[0] for kind, case in _JET_CASES.items()}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from _oracles import sampled_fiber_range
-from qmlab.errors import RefinePathError, ValidationError
+from qmlab.errors import NumericalError, RefinePathError, ValidationError
 from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap,
                            HamiltonianScenario, HyperbolicForm, RadialField, SumField,
                            TimeProfile, calabi, concat_scenarios, integrate_flow)
@@ -288,6 +288,34 @@ def test_trajectory_leaving_disk_raises():
             estimate(iso, (0.7, 0.0), p=1)
     with pytest.raises(ValidationError):
         theta_lift(iso, UnitDirection(0.7 + 0.0j, 0.0), p=1)
+
+
+def test_lift_max_radius_is_the_largest_traced_norm():
+    f = BumpField(0.8, [0.1, 0.05], 0.3)
+    sc = HamiltonianScenario(field=f, ball_radius=0.57, support_radius=f.support_radius + 1e-9,
+                             dt=0.004, form=HyperbolicForm())
+    iso = DiskIsotopy(scenario=sc, genus=GENUS, disk_area=disk_area_of(0.55))
+    pts = sc.form.sample_ball(f.support_radius, 2, 12, np.random.default_rng(8))
+    state = _LiftState(iso, pts, 2, keep_trace=True)
+    norms = [np.linalg.norm(pt, axis=1).max() for _, pt, _ in state.trace]
+    assert len(norms) == 2 * state.engine.steps_per_period + 1
+    assert state.max_radius.hex() == float(max(norms)).hex()
+
+
+def test_lift_raises_when_a_trajectory_leaves_the_disk():
+    """A row that starts inside U and circles the bump out of it fails the support check.
+
+    U is shrunk after DiskIsotopy's validation, which would refuse a support outside U.
+    """
+    f = BumpField(0.8, [0.2, 0.0], 0.3)
+    sc = HamiltonianScenario(field=f, ball_radius=0.57, support_radius=f.support_radius + 1e-9,
+                             dt=0.004, form=HyperbolicForm())
+    iso = DiskIsotopy(scenario=sc, genus=GENUS, disk_area=disk_area_of(0.55))
+    start = np.array([[0.05, 0.0]])
+    assert _LiftState(iso, start, 1).max_radius > 0.3
+    object.__setattr__(iso, "disk_area", disk_area_of(0.3))
+    with pytest.raises(NumericalError, match="left the disk U"):
+        _LiftState(iso, start, 1)
 
 
 # ---------------------------------------------------------------- angle
