@@ -14,7 +14,7 @@ cli         batch experiment front end (``qmlab <kind> --spec file.json``)
 from .errors import (DegenerateSaddleError, IntegrationError, InvariantError,
                      NumericalError, QmlabError, RefinePathError, ValidationError)
 from .harness import (DefectEstimate, HomogenizationResult, QmEvaluator,
-                      estimate_defect, homogenize, homogenize_until)
+                      estimate_defect, homogenize)
 from .symplectic import (LagrangianFrame, PhiEvaluator, SpPath, WindingValue,
                          check_symplectic, concat_power, coordinate_lagrangian,
                          full_rotation_loop, lagrangian_det2, path_compose,

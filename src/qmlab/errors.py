@@ -6,7 +6,7 @@ for failures arising during a computation (an aliased sampled path, Newton
 divergence, violated invariants that signal a bug upstream).  ``convert``
 turns a malformed value from a spec or JSON file into a ValidationError;
 the CLI and the JSON loaders share it, and ``period_count`` checks a period
-or power count.
+or power count, or a dimension n.
 """
 
 import math
@@ -47,7 +47,7 @@ def convert(key: str, value, kind: type, source: str = "spec"):
 
 
 def period_count(p, name: str = "p"):
-    """p, if it is an integer >= 1 (a whole number of periods); else ValidationError."""
+    """p, if it is an integer >= 1 (a whole number of periods, or Sp(2n)'s n); else ValidationError."""
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
         raise ValidationError(f"{name} must be an integer >= 1, got {p!r}")
     return p

@@ -21,11 +21,10 @@ exact integrals, from which ``calabi`` integrates each term in one pass.
 Each Newton iterate of the midpoint step evaluates one jet: the velocity,
 and the linearization with it (order 2) whenever something may read that,
 which is every iterate when tangents are transported.  A tangent-free step
-evaluates the velocity alone at the iterate forecast to converge (the
-first, when the history step before converged there; else the one that
-Newton's quadratic rate predicts), and the linearization at the same
-midpoint only if it does not (``FlowMap._step``); the gradient's bits do
-not depend on the order, so no output does.  Newton stops each row on its
+evaluates the velocity alone from the iterate at which the step before
+converged, and the linearization at the same midpoint only where an
+iterate does not converge (``FlowMap._step``); the gradient's bits do not
+depend on the order, so no output does.  Newton stops each row on its
 own residual and starts it from a rotation forecast of its own velocity
 history (``FlowMap.evolve``), so a row's trajectory does not depend on the
 rest of its batch.  The midpoint rule keeps every quadratic first
@@ -61,7 +60,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (IntegrationError, NumericalError, ValidationError, convert,
                      period_count)
-from .symplectic import SpPath, _det2_from_complex, _turn_steps, standard_j
+from .symplectic import (SpPath, _det2_from_complex, _turn_steps, check_symplectic,
+                         standard_j)
 
 NEWTON_TOL = 1e-15       # per-row Newton stop, relative to 1 + max |x_row|
 NEWTON_MAX_ITER = 30
@@ -399,6 +399,14 @@ class SeparableField(HamiltonianField):
         return [(self.time, self.spatial_value(pts))]
 
 
+def _radius(name: str, r) -> float:
+    """``r`` as a float if r > 0 and r^4 is finite and nonzero (the jets divide by r^2 and r^4)."""
+    r = float(r)
+    if not (r > 0.0 and 0.0 < r ** 4 < math.inf):
+        raise ValidationError(f"{name} must be positive, with a nonzero finite 4th power: {r!r}")
+    return r
+
+
 def _horner(coef: tuple, x):
     """sum_k coef[k] x^k, bit for bit numpy's ``polyval(coef[::-1], x)``.
 
@@ -423,7 +431,7 @@ class RadialField(SeparableField):
         if bump_power < 3:
             raise ValidationError("bump_power >= 3 is required for a C^2 cutoff")
         self.dim = dim
-        self.support_radius = float(support_radius)
+        self.support_radius = _radius("support_radius", support_radius)
         self.profile = tuple(float(c) for c in profile)
         self.bump_power = int(bump_power)
         s0 = self.support_radius ** 2
@@ -496,7 +504,7 @@ class BumpField(SeparableField):
         super().__init__(time)
         self.amplitude = float(amplitude)
         self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
+        self.radius = _radius("radius", radius)
         self.dim = self.center.shape[0]
         self.support_radius = float(np.linalg.norm(self.center) + self.radius)
 
@@ -538,11 +546,13 @@ class PolyBumpField(SeparableField):
                  time: TimeProfile | None = None, dim: int = 2):
         super().__init__(time)
         self.dim = dim
-        self.support_radius = float(support_radius)
+        self.support_radius = _radius("support_radius", support_radius)
         self.monomials = [(tuple(int(e) for e in exps), float(c)) for exps, c in monomials]
         for exps, _ in self.monomials:
             if len(exps) != dim:
                 raise ValidationError("monomial exponent length must equal dim")
+            if min(exps, default=0) < 0:
+                raise ValidationError(f"monomial exponents must be >= 0, got {list(exps)}")
         self._degree = [max((e[axis] for e, _ in self.monomials), default=0)
                         for axis in range(dim)]
         unit = np.eye(dim, dtype=int)
@@ -729,6 +739,9 @@ class ConjugatedField(HamiltonianField):
 
     def __init__(self, base: HamiltonianField, g: np.ndarray):
         g = np.asarray(g, dtype=float)
+        if g.shape != (base.dim, base.dim):
+            raise ValidationError(f"g must be {base.dim} x {base.dim}, got shape {g.shape}")
+        check_symplectic(g)
         self.base = base
         self.g = g
         self.g_inv = np.linalg.inv(g)
@@ -875,8 +888,10 @@ def scenario_from_json(data: dict) -> HamiltonianScenario:
         dt = convert("dt", data.get("dt", 1e-3), float, "scenario JSON")
     except KeyError as exc:
         raise ValidationError(f"malformed scenario JSON: missing {exc}") from exc
-    return HamiltonianScenario(field=field_from_json(h, data.get("support_radius")),
-                               ball_radius=ball_radius, support_radius=support_radius,
+    fld = field_from_json(h, data.get("support_radius"))
+    if "dim" in data and convert("dim", data["dim"], int, "scenario JSON") != fld.dim:
+        raise ValidationError(f"scenario JSON has dim {data['dim']!r}, but its H has dim {fld.dim}")
+    return HamiltonianScenario(field=fld, ball_radius=ball_radius, support_radius=support_radius,
                                dt=dt, form=form_from_json(data.get("form")))
 
 
@@ -1043,12 +1058,12 @@ class FlowMap:
             vel = vel / rho
         return _apply_j(vel), None if lin is None else _apply_j(lin)
 
-    def _step(self, x, guess, t_mid, tol, linearize, rate, first_one=False):
+    def _step(self, x, guess, t_mid, tol, linearize, solves):
         """One midpoint step of entry-major points x (d, n).
 
         Returns the new points, the midpoint velocity, DX_H there (None
-        when only the velocity was evaluated), the latest Newton rate and
-        the number of Newton solves.
+        when only the velocity was evaluated) and the number of Newton
+        solves.
 
         Newton starts from ``guess``, or from the jet predictor x + h X_H(x)
         when it is None.  Each row stops on its own residual, below its own
@@ -1059,39 +1074,26 @@ class FlowMap:
         An iterate evaluates the linearization with the velocity (an order-2
         jet) when something may read it: its own Newton solve, or, with
         ``linearize``, the Cayley tangent step at the converged iterate.
-        Without ``linearize``, the iterate forecast to converge takes the
-        velocity alone.  The first iterate is forecast by ``first_one``
-        (the caller's: the previous history step converged there).  A later
-        one is forecast by Newton's quadratic rate: with r_k the largest
-        residual of iterate k in units of its row's ``tol``, that is the
-        iterate with rate * r_{k-1}^2 < 1, where ``rate`` is the latest
-        r_k / r_{k-1}^2: from this step once it has two residuals, from an
-        earlier step before (inf when there is none).  If that iterate does
-        not converge after all, the linearization at the same midpoint
-        follows before the solve.  The forecast chooses only the jet's
-        order, and the gradient's bits do not depend on it, so neither do
-        the iterates.
+        Without ``linearize``, iterate k is forecast to converge, and takes
+        the velocity alone, when k >= ``solves``: the number of Newton
+        solves of the step before.  If it does not converge after all, the
+        linearization at the same midpoint follows before the solve.  The
+        forecast chooses only the jet's order, and the gradient's bits do
+        not depend on it, so neither do the iterates.
         """
         h = self.h
         w = x + h * self._field_jet(x, t_mid, 1)[0] if guess is None else guess
-        last = None
         for it in range(NEWTON_MAX_ITER):
             mid = 0.5 * (x + w)
-            # products, not powers: a float power raises OverflowError when Newton diverges
-            last_one = not linearize and (first_one if last is None else rate * last * last < 1.0)
-            vel, a_mid = self._field_jet(mid, t_mid, 1 if last_one else 2)
+            vel, a_mid = self._field_jet(mid, t_mid, 2 if linearize or it < solves else 1)
             resid = w - x - h * vel
             err = np.abs(resid).max(axis=0) / tol
-            r = float(err.max())
-            if last is not None:
-                rate = r / (last * last)
-            if r < 1.0:
+            if err.max() < 1.0:
                 self.max_newton_iters = max(self.max_newton_iters, it)
-                return w, vel, a_mid, rate, it
+                return w, vel, a_mid, it
             if a_mid is None:
                 a_mid = self._field_jet(mid, t_mid, 2)[1]
             w = np.where(err < 1.0, w, w - _solve_batch(self._eye - (0.5 * h) * a_mid, resid))
-            last = r
         raise IntegrationError(-1, "Newton iteration for the midpoint step did not converge")
 
     def evolve(self, pts, periods: int = 1, tangent=None, step_hook=None):
@@ -1121,12 +1123,11 @@ class FlowMap:
         p calls of ``evolve(pts, 1)`` bit for bit.
 
         With a tangent, every Newton iterate evaluates the field's Hessian,
-        and the Cayley step reads the converged one; without, the iterate
-        forecast to converge skips it (``_step``): a history step's first
-        iterate when the history step before converged at its first, which
-        is read across period boundaries (the first history step of a
-        period forecasts from the last of the period before).  Points and
-        hook arguments are the same bits either way.
+        and the Cayley step reads the converged one; without, a step skips
+        it from the iterate at which the step before converged (``_step``),
+        read across period boundaries, and the run's first step from its
+        second iterate.  Points and hook arguments are the same bits either
+        way.
 
         Only the rows that the field's ``frozen`` mask leaves are stepped.
         A frozen row keeps its point (mid = new = start), has velocity 0
@@ -1158,9 +1159,8 @@ class FlowMap:
 
         stepped = not frozen.all()
         total = periods * self.steps_per_period
-        h, rate = self.h, math.inf
+        h, solves = self.h, 1  # the Newton solves of the last stepped step
         history = _VelocityHistory(self.sc.dim // 2)
-        first_one = False  # the last history step converged at its first iterate
         for step in range(total):
             j = step % self.steps_per_period
             t_mid = self.t_mids[j]
@@ -1173,14 +1173,11 @@ class FlowMap:
                 tol = NEWTON_TOL * (1.0 + np.abs(x).max(axis=0))
                 guess = history.guess(x, h)
                 try:
-                    new, vel, a_mid, rate, solves = self._step(
-                        x, guess, t_mid, tol, tangent is not None, rate,
-                        guess is not None and first_one)
+                    new, vel, a_mid, solves = self._step(
+                        x, guess, t_mid, tol, tangent is not None, solves)
                 except IntegrationError as exc:
                     raise IntegrationError(
                         step, f"integrator failed at step {step}: {exc}") from exc
-                if guess is not None:
-                    first_one = solves == 0
                 history.push(vel)
                 if tangent is not None:
                     moved = self._cayley(a_mid, rows(tangent))

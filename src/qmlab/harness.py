@@ -102,39 +102,6 @@ def homogenize(ev: QmEvaluator, x: Handle, p_schedule: Sequence[int]) -> Homogen
                                 error_bound=ev.error_bound(p_last), samples=samples)
 
 
-def homogenize_until(ev: QmEvaluator, x: Handle, *, p_max: int = 4096,
-                     abs_bound: float | None = None,
-                     quotient_tol: float | None = None) -> HomogenizationResult:
-    """Power-doubling homogenization from p = 1 with a caller-supplied stop rule.
-
-    Stops once the evaluator's deterministic bound drops below
-    ``abs_bound`` or successive quotients differ by less than
-    ``quotient_tol``, whichever comes first; always stops at ``p_max``.
-    Deterministic bounds exist only for some evaluators, so at least one
-    stop criterion must be supplied.
-    """
-    if abs_bound is None and quotient_tol is None:
-        raise ValidationError("supply abs_bound and/or quotient_tol as a stop rule")
-    samples: list[tuple[int, float]] = []
-    p = 1
-    prev = None
-    while True:
-        result = homogenize(ev, x, [p])
-        samples.append(result.samples[0])
-        bound = ev.error_bound(p)
-        if abs_bound is not None and bound is not None and bound <= abs_bound:
-            break
-        if quotient_tol is not None and prev is not None and abs(result.value - prev) < quotient_tol:
-            break
-        if 2 * p > p_max:
-            break
-        prev = result.value
-        p *= 2
-    p_last, value = samples[-1]
-    return HomogenizationResult(value=value, p_used=p_last,
-                                error_bound=ev.error_bound(p_last), samples=samples)
-
-
 def estimate_defect(ev: QmEvaluator, sampler: Callable[[np.random.Generator], Handle],
                     n_pairs: int, seed: int) -> DefectEstimate:
     """Max of |phi(xy) - phi(x) - phi(y)| over ``n_pairs`` sampled pairs.

@@ -76,6 +76,7 @@ class LagrangianFrame:
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1]:
             raise ValidationError(f"expected a 2n x n frame, got shape {cols.shape}")
+        period_count(cols.shape[1], "n")
         if not np.isfinite(cols).all():
             raise ValidationError("frame entries must be finite")
         object.__setattr__(self, "columns", cols)
@@ -173,6 +174,7 @@ class SpPath:
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] % 2:
             raise ValidationError(f"expected (k, 2n, 2n) matrices, got {mats.shape}")
+        period_count(mats.shape[1] // 2, "n")
         if times.shape != (mats.shape[0],) or times.size < 1:
             raise ValidationError("times must match the number of samples")
         if not (np.isfinite(times).all() and np.isfinite(mats).all()):
@@ -336,7 +338,7 @@ def random_sp_path(n: int, rng: np.random.Generator) -> SpPath:
     whose argument had 2-norm at most 0.16 over 2000 seeded paths for each
     of n = 1 and 2, well inside the Taylor sum's bound of 1.
     """
-    j = standard_j(n)
+    j = standard_j(period_count(n, "n"))
     mats = [np.eye(2 * n)]
     for _ in range(SP_PATH_SEGMENTS):
         s = rng.standard_normal((2 * n, 2 * n))
@@ -356,7 +358,7 @@ class PhiEvaluator(QmEvaluator):
     """
 
     def __init__(self, n: int, l0: LagrangianFrame | None = None):
-        self.n = n
+        self.n = period_count(n, "n")
         self.l0 = l0 if l0 is not None else coordinate_lagrangian(n)
 
     @property

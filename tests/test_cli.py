@@ -229,9 +229,13 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     without its frequency, a non-numeric coefficient or a fractional
     frequency.  Isotopies: "genus": "two" and "genus": 2.9, and a valid one
     (iso.json) for malformed cal_s and gg specs.  Sp paths loop_<name>.json
-    carry a NaN matrix entry or time, a short matrix row or a fractional n,
-    and frames frame_<name>.json a fractional n, too few columns or a NaN.
-    Scenarios nonfinite_<name>.json
+    carry a NaN matrix entry or time, a short matrix row, a fractional n or
+    n = 0, and frames frame_<name>.json a fractional n, too few columns, a
+    NaN or n = 0.  Scenarios field_<name>.json carry a field parameter that
+    the field cannot use: a zero or negative radius, a bump radius whose
+    square underflows to 0 under a conjugation, a negative monomial
+    exponent, a conjugating g of the wrong shape or not symplectic, or a
+    "dim" that is not its H's.  Scenarios nonfinite_<name>.json
     carry one NaN or infinite number ("nan" and "inf" strings parse as
     floats), and a mesh with a Morse function serves a reeb spec.  Scenarios
     form_<name>.json carry a "form" that is not an object, scenario_list.json
@@ -267,12 +271,27 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     times[mid] = float("nan")
     write_json(tmp_path / "loop_time_nan.json", dict(loop, times=times))
     write_json(tmp_path / "loop_n_fractional.json", dict(loop, n=1.5))
+    write_json(tmp_path / "loop_n_zero.json", {"n": 0, "times": [0, 1], "matrices": [[], []]})
     for name, frame in (("n_fractional", {"n": 1.5, "columns": [1.0, 0.0]}),
                         ("columns_short", {"n": 1, "columns": [1.0]}),
-                        ("nan", {"n": 1, "columns": [1.0, float("nan")]})):
+                        ("nan", {"n": 1, "columns": [1.0, float("nan")]}),
+                        ("n_zero", {"n": 0, "columns": []})):
         write_json(tmp_path / f"frame_{name}.json", frame)
     bump = {"kind": "bump", "amplitude": 0.5, "center": [0.1, 0.0], "radius": 0.5}
     poly = {"kind": "poly", "monomials": [[[1, 1], 0.5]]}
+    for name, h in (("radial_support_zero", dict(radial["H"], support_radius=0.0)),
+                    ("poly_support_zero", dict(poly, support_radius=0.0)),
+                    ("bump_radius_zero", dict(bump, radius=0.0)),
+                    ("conjugated_radius_underflow", {"kind": "conjugated", "g": np.eye(2).tolist(),
+                                                     "base": dict(bump, radius=1e-301)}),
+                    ("radial_support_negative", dict(radial["H"], support_radius=-1.0)),
+                    ("bump_radius_negative", dict(bump, radius=-0.5)),
+                    ("poly_exponent_negative", dict(poly, monomials=[[[-1, 1], 0.5]])),
+                    ("g_shape", {"kind": "conjugated", "g": np.eye(4).tolist(), "base": bump}),
+                    ("g_not_symplectic", {"kind": "conjugated", "g": (2.0 * np.eye(2)).tolist(),
+                                          "base": dict(bump, radius=0.3)})):
+        write_json(tmp_path / f"field_{name}.json", dict(radial, H=h))
+    write_json(tmp_path / "field_dim_mismatch.json", dict(radial, dim=4))
     for name, h in (("profile", dict(radial["H"], profile=["nan"])),
                     ("support_radius", dict(radial["H"], support_radius="nan")),
                     ("time", dict(radial["H"], time={"poly": [float("inf")]})),
@@ -308,8 +327,11 @@ def malformed_inputs(tmp_path, radial_scenario_file):
     return tmp_path
 
 
-_BAD_PATHS = ("matrix_nan", "time_nan", "row_short", "n_fractional")
-_BAD_FRAMES = ("n_fractional", "columns_short", "nan")
+_BAD_PATHS = ("matrix_nan", "time_nan", "row_short", "n_fractional", "n_zero")
+_BAD_FRAMES = ("n_fractional", "columns_short", "nan", "n_zero")
+_BAD_FIELDS = ("radial_support_zero", "poly_support_zero", "bump_radius_zero",
+               "conjugated_radius_underflow", "radial_support_negative", "bump_radius_negative",
+               "poly_exponent_negative", "g_shape", "g_not_symplectic", "dim_mismatch")
 _NON_FINITE_SCENARIOS = ("profile", "support_radius", "time", "amplitude", "center", "radius",
                          "monomial", "g", "ball_radius")
 _BAD_HAMILTONIANS = ("nan", "id_fractional", "id_repeated")
@@ -359,7 +381,9 @@ _REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": T
        ("phi", {"path_file": "loop.json", "p": 4, "p_schedule": "148"})]
     + [("phi", {"path_file": f"loop_{name}.json", "p": 4}) for name in _BAD_PATHS]
     + [("phi", {"path_file": "loop.json", "frame_file": f"frame_{name}.json", "p": 4})
-       for name in _BAD_FRAMES],
+       for name in _BAD_FRAMES]
+    + [("defect", {"evaluator": "phi_sp", "n": n, "n_pairs": 2, "seed": 1}) for n in (0, -1)]
+    + [("calabi", {"scenario_file": f"field_{name}.json"}) for name in _BAD_FIELDS],
     ids=["p_not_int", "p_fractional", "dt_not_float", "quadrature_bad_key",
         "quadrature_not_object", "quadrature_bad_value", "genus_not_int", "seed_not_int",
         "schedule_entry_not_int", "schedule_not_list", "bump_power_fractional",
@@ -374,7 +398,8 @@ _REEB_SPEC = {"mesh_file": "mesh.off", "morse_file": "morse.csv", "normalize": T
     + ["reeb_normalize_string", "reeb_mesh_nan_normalized", "reeb_mesh_nan",
        "reeb_mesh_negative_count", "reeb_morse_repeated", "form_string", "form_list", "scenario_list",
        "isotopy_scenario_number", "path_file_list", "schedule_string"]
-    + [f"path_{name}" for name in _BAD_PATHS] + [f"frame_{name}" for name in _BAD_FRAMES])
+    + [f"path_{name}" for name in _BAD_PATHS] + [f"frame_{name}" for name in _BAD_FRAMES]
+    + ["defect_n_zero", "defect_n_negative"] + [f"field_{name}" for name in _BAD_FIELDS])
 def test_malformed_values_exit_2(malformed_inputs, capsys, kind, spec):
     spec_file = write_json(malformed_inputs / "spec.json", spec)
     out = malformed_inputs / "out"

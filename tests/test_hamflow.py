@@ -816,79 +816,92 @@ def _step_jets(sc, pts, tangent, periods=1):
     return steps
 
 
+def _solve_count_rule(steps, steps_per_period):
+    """Check a tangent-free run's ``_step_jets`` against the solve-count rule.
+
+    Iterate k of a step takes the velocity alone (order 1) exactly when k
+    is at least the Newton solves of the step before, 1 before the run's
+    first step; a miss, an order-1 iterate that does not converge, is
+    followed by the Hessian (order 2) at the same midpoint.  A predictor
+    step's first jet is the predictor (order 1).  Returns each step's jet
+    points without the misses' fallbacks, and the (step, iterate) of each
+    miss.
+    """
+    points, misses, count = [], [], 1
+    for step, (jets, solves) in enumerate(steps):
+        jets = iter(jets)
+        xs = []
+        if step % steps_per_period < 4:
+            order, x = next(jets)
+            assert order == 1
+            xs.append(x)
+        for k in range(solves + 1):
+            order, x = next(jets)
+            assert order == (1 if k >= count else 2)
+            if order == 1 and k < solves:
+                fallback, fallback_x = next(jets)
+                assert fallback == 2 and np.array_equal(fallback_x, x)
+                misses.append((step, k))
+            xs.append(x)
+        assert next(jets, None) is None
+        points.append(xs)
+        count = solves
+    return points, misses
+
+
 @pytest.mark.parametrize("form", [StandardForm(), HyperbolicForm()], ids=lambda f: f.kind)
 @pytest.mark.parametrize("n", [1, 200])
 def test_tangent_free_radial_step_skips_the_last_hessian(form, n):
-    """A radial step makes one order-2 jet fewer without tangents than with them.
+    """A tangent-free radial step takes the velocity alone from the step before's solve count.
 
-    The first four steps of a period start from the jet predictor (order 1)
-    and forecast their converged iterate by Newton's rate.  The others
-    start from the velocity history's rotation forecast, which a radial
-    field makes exact: Newton converges at the first iterate and makes no
-    solve.  The tangent run evaluates that iterate with the Hessian, for
-    the Cayley step.  Without tangents it takes the velocity alone once the
-    history step before converged there, so from the second history step
-    of the run on, across the period boundary: the first period keeps one
-    order-2 history jet, the second none.
+    The first four steps of a period start from the jet predictor and make
+    Newton solves.  The others start from the velocity history's rotation
+    forecast, which a radial field makes exact: Newton converges at the
+    first iterate and makes no solve.  The tangent run evaluates every
+    iterate with the Hessian, for the Cayley step.  Without tangents, the
+    first history step of a period follows a predictor step's solves and
+    takes the Hessian; every later one takes the velocity alone, so a
+    period keeps one order-2 history jet.  The iterates' points are the
+    tangent run's.
     """
     sc = radial_scenario(dt=0.01, r_supp=0.8, ball=0.9, form=form)
     pts = form.sample_ball(0.75, 2, n, np.random.default_rng(47))
     free = _step_jets(sc, pts, None, periods=2)
     with_tangent = _step_jets(sc, pts, np.eye(2), periods=2)
     assert len(free) == len(with_tangent) == 200
+    points, misses = _solve_count_rule(free, 100)
+    assert all(step % 100 < 4 for step, _ in misses)
     history_jets = {(period, order): 0 for period in (0, 1) for order in (1, 2)}
-    for step, ((jets, solves), (ref, ref_solves)) in enumerate(zip(free, with_tangent)):
-        orders = [order for order, _ in jets]
-        if step % 100 < 4:
-            iterates = len(ref) - 1
-            assert iterates >= 2 and solves == ref_solves == iterates - 1
-            assert [order for order, _ in ref] == [1] + [2] * iterates
-            assert orders == [1] + [2] * (iterates - 1) + [1]
-        else:
-            assert solves == ref_solves == 0 and [order for order, _ in ref] == [2]
-            assert len(orders) == 1
-            history_jets[step // 100, orders[0]] += 1
-        for (_, x), (_, ref_x) in zip(jets, ref):
+    for step, ((jets, solves), (ref, ref_solves), xs) in enumerate(
+            zip(free, with_tangent, points)):
+        assert solves == ref_solves and len(xs) == len(ref)
+        for x, (_, ref_x) in zip(xs, ref):
             assert np.array_equal(x, ref_x)
-    assert history_jets == {(0, 1): 95, (0, 2): 1, (1, 1): 96, (1, 2): 0}
+        if step % 100 < 4:
+            assert solves >= 1 and [order for order, _ in ref] == [1] + [2] * (solves + 1)
+        else:
+            assert solves == 0 and [order for order, _ in ref] == [2] and len(jets) == 1
+            history_jets[step // 100, jets[0][0]] += 1
+    assert history_jets == {(0, 1): 95, (0, 2): 1, (1, 1): 95, (1, 2): 1}
 
 
 def test_mispredicted_last_iterate_falls_back_to_the_hessian():
     """An order-1 iterate that does not converge takes the Hessian at the same midpoint.
 
-    A history step's first iterate takes the velocity alone exactly when
-    the history step before converged at its first iterate.  One row of the
-    radial-then-bump concatenation mispredicts both ways: at t = 1/2 the
-    field changes, so the first step after the change misses at its first
-    iterate; and on some step the rate carried over forecasts convergence
-    after the first solve, and it takes a second.  The outputs still equal
-    the tangent run's, bit for bit.
+    One row of the radial-then-bump concatenation mispredicts both ways:
+    at t = 1/2 the field changes, so the first step after the change
+    misses at its first iterate although the step before converged there;
+    and a step that needs more solves than the step before misses at a
+    later iterate.  The outputs still equal the tangent run's, bit for bit.
     """
     f = _JET_CASES["concat"][0]
     sc = HamiltonianScenario(field=f, ball_radius=f.support_radius + 0.2,
                              support_radius=f.support_radius + 1e-9, dt=0.01)
     pts = StandardForm().sample_ball(0.97 * sc.ball_radius, 2, 1, np.random.default_rng(59))
-    fallbacks = {"first": 0, "later": 0}
-    first_one = False
-    for step, (jets, solves) in enumerate(_step_jets(sc, pts, None)):
-        # a predictor step's first jet is the predictor; then come the iterates, each of
-        # one jet, or of an order-1 jet and the fallback at its midpoint
-        iterates = jets[1:] if step < 4 else jets
-        assert step < 4 or iterates[0][0] == (1 if first_one else 2)
-        k = midpoints = 0
-        while k < len(iterates):
-            order, x = iterates[k]
-            if order == 1 and k < len(iterates) - 1:
-                next_order, next_x = iterates[k + 1]
-                assert next_order == 2 and np.array_equal(x, next_x)
-                fallbacks["first" if midpoints == 0 else "later"] += 1
-                k += 1
-            k += 1
-            midpoints += 1
-        assert solves == midpoints - 1
-        if step >= 4:
-            first_one = solves == 0
-    assert fallbacks["first"] >= 1 and fallbacks["later"] >= 1
+    steps_per_period = FlowMap(sc).steps_per_period
+    _, misses = _solve_count_rule(_step_jets(sc, pts, None), steps_per_period)
+    assert [step for step, k in misses if k == 0] == [steps_per_period // 2]
+    assert any(k > 0 for _, k in misses)
     _assert_tangent_free_run_is_the_tangent_run(sc, pts)
 
 
@@ -947,7 +960,7 @@ def test_rotation_forecast_is_exact_on_rotation_invariant_fields(case):
     assert np.array_equal(out[0], pts[0])
     history = [r for r in records if r[1] is not None]
     assert len(history) == 2 * (engine.steps_per_period - 4)
-    for x, guess, tol, t_mid, (w, _, _, _, solves) in history:
+    for x, guess, tol, t_mid, (w, _, _, solves) in history:
         vel = engine._field_jet(0.5 * (x + guess), t_mid, 1)[0]
         assert (np.abs(guess - x - engine.h * vel).max(axis=0) < tol).all()
         assert solves == 0 and np.array_equal(w, guess)

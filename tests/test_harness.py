@@ -6,8 +6,7 @@ import pytest
 from qmlab.errors import ValidationError
 from qmlab.hamflow import (HamiltonianScenario, RadialField, birkhoff_average, jacobian_path,
                            tau_ball)
-from qmlab.harness import (DefectEstimate, QmEvaluator, estimate_defect,
-                           homogenize, homogenize_until)
+from qmlab.harness import DefectEstimate, QmEvaluator, estimate_defect, homogenize
 from qmlab.symplectic import (PhiEvaluator, concat_power, full_rotation_loop, phi_homog,
                               random_sp_path)
 
@@ -75,18 +74,6 @@ def test_homogenize_schedule_validation():
         homogenize(ev, ev.identity, [2, 2])
     with pytest.raises(ValidationError):
         homogenize(ev, ev.identity, [0, 1])
-
-
-def test_homogenize_until_stop_rules():
-    ev = CircleLiftEvaluator()
-    res = homogenize_until(ev, noisy_lift(0.4, 0.03), quotient_tol=1e-4, p_max=2048)
-    assert res.value == pytest.approx(0.4, abs=5e-3)
-    sp_ev = PhiEvaluator(1)
-    res = homogenize_until(sp_ev, full_rotation_loop(), abs_bound=0.05)
-    assert res.error_bound is not None and res.error_bound <= 0.05
-    assert res.value == pytest.approx(2.0, abs=1e-9)
-    with pytest.raises(ValidationError):
-        homogenize_until(ev, translation(0.1))
 
 
 def test_phi_evaluator_full_rotation_loop():
