@@ -1102,7 +1102,12 @@ class FlowMap:
         ``step_hook(step_index, t_mid, mid_pts, mid_vel, new_pts, tangent)``
         runs after every accepted step; ``mid_vel`` is the converged
         midpoint velocity of that step.  The hook's arrays and the returned
-        points (n, d) and tangents (n, d, k) are batch-last views.
+        points (n, d) and tangents (n, d, k) are batch-last views.  A
+        tangent is an (n, d, k) batch or one (d, k) frame for every row,
+        and the Cayley step moves each of the k columns on its own.
+        ``tau_ball`` moves the d x d/2 frame of R^n and ``jacobian_path``
+        the full d x d tangent; a column's bits do not depend on k (the
+        2-d closed form is elementwise, and a test checks the 4-d solve).
 
         Newton stops each row at NEWTON_TOL (1 + max |x_row|), from the
         row's start point x_row.  Within a period, a step starts Newton
@@ -1222,31 +1227,43 @@ def integrate_flow(sc: HamiltonianScenario, x0, t: float):
 
 
 class _WindingTracker:
-    """Accumulates det^2 phase of the tangents' image of R^n, with an alias guard.
+    """Accumulates the det^2 phase of a transported Lagrangian frame, with an alias guard.
+
+    It reads a batch of (N, 2n, k) frames, k >= n, and only their first n
+    columns: the image M R^n of R^n under each row's tangent map M.
+    ``tau_ball`` transports exactly that 2n x n frame; a full tangent
+    (k = 2n) gives the same bits.  The complex n x n matrix X + iY is
+    written into one batch-last buffer per step, from the frame's
+    entry-major memory, and read by symplectic's det^2 kernel.
 
     Steps are read on the principal branch, as in ``symplectic.winding``,
     whose contract is that each step turns det^2 by less than half a turn.
-    The guard is stricter: a step of ALIAS_GUARD (0.4 turn) or more raises
-    NumericalError.  It checks that dt is small enough, with a margin below
-    the half turn where the principal branch stops being trustworthy.
+    The guard is stricter: a step of ALIAS_GUARD (0.4 turn) or more, or a
+    step that is not finite, raises NumericalError naming the step.  It
+    checks that dt is small enough, with a margin below the half turn where
+    the principal branch stops being trustworthy.
     """
 
-    def __init__(self, n: int, tangent0: np.ndarray):
+    def __init__(self, n: int, frame0: np.ndarray):
         self.n = n
-        self.prev = self._det2(tangent0)
-        self.turns = np.zeros(tangent0.shape[0])
+        self._buf = np.empty((n, n, frame0.shape[0]), dtype=complex)  # entry-major X + iY
+        self.prev = self._det2(frame0)
+        self.turns = np.zeros(frame0.shape[0])
 
-    def _det2(self, tangent: np.ndarray) -> np.ndarray:
-        n = self.n
-        return _det2_from_complex(tangent[:, :n, :n] + 1j * tangent[:, n:, :n])
+    def _det2(self, frame: np.ndarray) -> np.ndarray:
+        n, cols = self.n, _entries(frame)
+        np.copyto(self._buf.real, cols[:n, :n])
+        np.copyto(self._buf.imag, cols[n:, :n])
+        return _det2_from_complex(_batched(self._buf))
 
-    def update(self, tangent: np.ndarray):
-        cur = self._det2(tangent)
-        step = _turn_steps(self.prev, cur)
-        if np.max(np.abs(step)) >= ALIAS_GUARD:
+    def update(self, frame: np.ndarray, step: int):
+        cur = self._det2(frame)
+        turn = _turn_steps(self.prev, cur)
+        if not (np.abs(turn).max() < ALIAS_GUARD):  # a NaN turn fails too
             raise NumericalError(
-                "det^2 phase moved >= 0.4 turns in one step: decrease dt")
-        self.turns += step
+                f"det^2 phase moved >= {ALIAS_GUARD} turns, or by a non-finite amount, "
+                f"at step {step}: decrease dt")
+        self.turns += turn
         self.prev = cur
 
 
@@ -1434,7 +1451,9 @@ def tau_ball(sc: HamiltonianScenario, p: int, n_samples: int, seed: int) -> TauR
     Per-point integrand: the det^2 winding of the p-period tangent path
     divided by p, which brackets (1/p) Phi(Df^p) within 2n/p; the measure
     factor is the form volume of the support ball (points outside the
-    support contribute zero).
+    support contribute zero).  The winding reads only the image Df_t R^n,
+    so the flow transports the 2n x n frame of R^n, not the full tangent
+    (``jacobian_path`` does that); the turns are the same bits.
     """
     period_count(p)
     if n_samples < 2:
@@ -1443,13 +1462,13 @@ def tau_ball(sc: HamiltonianScenario, p: int, n_samples: int, seed: int) -> TauR
     pts = sc.form.sample_ball(sc.support_radius, sc.dim, n_samples, rng)
     engine = FlowMap(sc)
     n = sc.dim // 2
-    tangent = np.broadcast_to(np.eye(sc.dim), (n_samples, sc.dim, sc.dim)).copy()
-    tracker = _WindingTracker(n, tangent)
+    frame = np.eye(sc.dim)[:, :n]
+    tracker = _WindingTracker(n, np.broadcast_to(frame, (n_samples, sc.dim, n)))
 
     def hook(step, t_mid, mid, vel, new, tan):
-        tracker.update(tan)
+        tracker.update(tan, step)
 
-    engine.evolve(pts, periods=p, tangent=tangent, step_hook=hook)
+    engine.evolve(pts, periods=p, tangent=frame, step_hook=hook)
     vol = sc.form.ball_measure(sc.support_radius, sc.dim)
     vals = tracker.turns / p
     value = float(np.mean(vals)) * vol

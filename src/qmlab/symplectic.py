@@ -103,12 +103,19 @@ def coordinate_lagrangian(n: int) -> LagrangianFrame:
 
 
 def _det2_from_complex(a: np.ndarray) -> np.ndarray:
-    """det^2 of the unitary orthonormalization, batched over leading axes (n = 1 skips LAPACK)."""
+    """det^2 of the unitary orthonormalization, batched over leading axes (n = 1 skips LAPACK).
+
+    ``a`` is the complex n x n matrix X + iY of a Lagrangian frame [X; Y]
+    (2n x n): the columns of a LagrangianFrame, a moved frame M [X; Y], or
+    the frame M R^n that ``tau`` transports.  ``a`` is only read.
+    """
     d = a[..., 0, 0] if a.shape[-1] == 1 else np.linalg.det(a)
     mod = np.abs(d)
-    if np.any(mod == 0.0):
+    if not mod.all():
         raise ValidationError("degenerate frame encountered in det^2")
-    return (d / mod) ** 2
+    d = d / mod  # a new array: d may be a view of ``a``
+    d *= d
+    return d
 
 
 def lagrangian_det2(l0: LagrangianFrame, l1: LagrangianFrame) -> complex:

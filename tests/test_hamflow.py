@@ -13,8 +13,8 @@ import pytest
 from _oracles import (lambda_form_calabi, newton_reference_evolve, radial_calabi_4d_oracle,
                       radial_calabi_oracle, radial_tau_oracle)
 import qmlab
-from qmlab import hamflow
-from qmlab.errors import ValidationError
+from qmlab import cli, hamflow
+from qmlab.errors import NumericalError, ValidationError
 from qmlab.hamflow import (BumpField, ConcatField, ConjugatedField, FlowMap,
                            HamiltonianScenario, HyperbolicForm, PolyBumpField,
                            QuadratureRule, RadialField, StandardForm, SumField,
@@ -486,19 +486,107 @@ def test_tau_conjugation_invariance():
 
 
 def test_tau_integrand_matches_phi_lag_route():
-    # the online winding equals phi_lag of the sampled jacobian path
+    # the online winding equals phi_lag of the sampled jacobian path, whether
+    # the flow transports the full tangent or only the frame of R^n
     sc = radial_scenario(0.8, dt=0.01)
     x = np.array([0.45, 0.2])
     p = 8
     path = jacobian_path(sc, x, p, sample_stride=1)
     via_path = phi_lag(path) / p
     engine = FlowMap(sc)
-    from qmlab.hamflow import _WindingTracker
-    tangent = np.eye(2)[None].copy()
-    tracker = _WindingTracker(1, tangent)
-    engine.evolve(np.atleast_2d(x), periods=p, tangent=tangent,
-                  step_hook=lambda s, t, m, v, nw, tan: tracker.update(tan))
-    assert via_path == pytest.approx(tracker.turns[0] / p, abs=1e-9)
+    turns = {}
+    for name, tangent in (("full", np.eye(2)), ("frame", np.eye(2)[:, :1])):
+        tracker = hamflow._WindingTracker(1, tangent[None])
+        engine.evolve(np.atleast_2d(x), periods=p, tangent=tangent,
+                      step_hook=lambda s, t, m, v, nw, tan: tracker.update(tan, s))
+        turns[name] = tracker.turns[0]
+    assert via_path == pytest.approx(turns["frame"] / p, abs=1e-9)
+    assert turns["frame"] == turns["full"]
+
+
+def _tau_and_turns(monkeypatch, sc, p, n_samples, seed, full_tangent):
+    """tau_ball's result, its tracker's per-row turns and the transported column count.
+
+    With ``full_tangent``, ``FlowMap.evolve`` is handed the full 2n x 2n
+    identity in place of tau_ball's frame, as tau_ball did before it
+    transported frames.
+    """
+    seen = {}
+
+    class Recording(hamflow._WindingTracker):
+        def update(self, frame, step):
+            seen["tracker"], seen["columns"] = self, frame.shape[-1]
+            super().update(frame, step)
+
+    monkeypatch.setattr(hamflow, "_WindingTracker", Recording)
+    if full_tangent:
+        evolve = FlowMap.evolve
+        monkeypatch.setattr(FlowMap, "evolve", lambda self, pts, periods, tangent, step_hook:
+                            evolve(self, pts, periods, np.eye(sc.dim), step_hook))
+    out = tau_ball(sc, p, n_samples, seed)
+    monkeypatch.undo()
+    return out, seen["tracker"].turns, seen["columns"]
+
+
+@pytest.mark.parametrize("case", ["twist", "poly", "twist_4d"])
+def test_tau_frame_transport_equals_full_tangent(monkeypatch, case):
+    # the frame M R^n's Cayley columns are the full tangent's first n columns,
+    # bit for bit, so tau_ball's turns and result do not move
+    if case == "twist":
+        sc, p, n_samples, seed = radial_scenario(0.8, dt=0.01), 8, 1000, 4
+    elif case == "poly":
+        field = PolyBumpField([[[2, 1], 0.7], [[1, 0], -0.4], [[0, 2], 0.5]], support_radius=1.0)
+        sc = HamiltonianScenario(field=field, ball_radius=1.2, support_radius=1.0, dt=0.01)
+        p, n_samples, seed = 2, 2000, 20260
+    else:
+        sc = HamiltonianScenario(field=RadialField([0.8], support_radius=1.0, dim=4),
+                                 ball_radius=1.2, support_radius=1.0, dt=0.01)
+        p, n_samples, seed = 1, 64, 5
+    frame, frame_turns, columns = _tau_and_turns(monkeypatch, sc, p, n_samples, seed, False)
+    full, full_turns, full_columns = _tau_and_turns(monkeypatch, sc, p, n_samples, seed, True)
+    assert (columns, full_columns) == (sc.dim // 2, sc.dim)
+    assert np.array_equal(frame_turns, full_turns) and np.any(frame_turns != 0.0)
+    assert frame == full
+
+
+def _ramped_twist(dt):
+    # the twist's amplitude grows linearly in t, so det^2 turns faster every step
+    return radial_scenario(4.0, dt=dt, time=TimeProfile(poly=(0.0, 1.0)))
+
+
+def test_tau_alias_guard_names_the_step():
+    assert np.isfinite(tau_ball(_ramped_twist(0.05), p=1, n_samples=16, seed=0).value)
+    with pytest.raises(NumericalError, match=r"0\.4 turns.* at step 8: decrease dt"):
+        tau_ball(_ramped_twist(0.1), p=1, n_samples=16, seed=0)
+
+
+def test_tau_cli_exits_3_on_the_alias_guard(tmp_path, capsys):
+    (tmp_path / "ramp.json").write_text(json.dumps(scenario_to_json(_ramped_twist(0.1))))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario_file": "ramp.json", "p": 1, "n_samples": 16,
+                                "seed": 0}))
+    assert cli.main(["tau", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 3
+    assert "at step 8: decrease dt" in capsys.readouterr().err
+
+
+def test_winding_tracker_rejects_a_nan_frame():
+    frames = np.broadcast_to(np.eye(2)[:, :1], (3, 2, 1))
+    tracker = hamflow._WindingTracker(1, frames)
+    bad = frames.copy()
+    bad[1, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="at step 5"):
+        tracker.update(bad, 5)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_winding_tracker_rejects_a_zero_frame_column(dim):
+    n = dim // 2
+    frames = np.broadcast_to(np.eye(dim)[:, :n], (3, dim, n))
+    tracker = hamflow._WindingTracker(n, frames)
+    bad = frames.copy()
+    bad[2, :, n - 1] = 0.0
+    with pytest.raises(ValidationError, match=r"degenerate frame encountered in det\^2"):
+        tracker.update(bad, 0)
 
 
 def test_det2_n1_fast_path_matches_det(monkeypatch):
@@ -521,6 +609,17 @@ def test_det2_n1_fast_path_matches_det(monkeypatch):
     tan4 = np.broadcast_to(np.eye(4), (3, 4, 4))
     assert np.allclose(_det2_from_complex(tan4[:, :2, :2] + 1j * tan4[:, 2:, :2]), 1.0)
     assert calls == [(3, 2, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_det2_kernel_leaves_its_argument_alone(n):
+    from qmlab.symplectic import _det2_from_complex
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+    before = a.copy()
+    out = _det2_from_complex(a)
+    assert np.array_equal(a, before) and not np.shares_memory(out, a)
+    assert np.max(np.abs(np.abs(out) - 1.0)) <= 4 * np.finfo(float).eps
 
 
 def test_unit_gauss_legendre_is_cached_and_read_only():
